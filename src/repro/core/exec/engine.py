@@ -27,10 +27,10 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ...obs.metrics import MetricsRegistry
-from ...obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
+from ...obs.telemetry import Telemetry, as_telemetry
 from ...platform import Platform
 from ..controller import (REPORT_SCHEMA, STATUS_CRASHED, STATUS_HUNG,
                           Controller, TestOutcome)
@@ -325,6 +325,20 @@ def _finish_case(case, task: TaskResult, pool: WorkerPool):
         fired=True, seconds=task.seconds)
 
 
+class _ExhaustiveSchedule:
+    """The fixed schedule: one batch holding every enumerated case."""
+
+    def __init__(self, cases: List[Any]) -> None:
+        self._batch = cases
+
+    def next_batch(self) -> List[Any]:
+        batch, self._batch = self._batch, []
+        return batch
+
+    def observe(self, case, result, *, restored: bool = False) -> None:
+        pass        # nothing to learn: every case is already scheduled
+
+
 def execute_campaign(app: str,
                      factory,
                      platform: Platform,
@@ -333,7 +347,6 @@ def execute_campaign(app: str,
                      *, jobs: int = 1,
                      timeout: Optional[float] = None,
                      backend: Optional[str] = None,
-                     pool: Optional[WorkerPool] = None,
                      snapshot: bool = False,
                      telemetry=None,
                      results=None,
@@ -373,305 +386,95 @@ def execute_campaign(app: str,
     case order, so the final report, event stream and metrics match an
     uninterrupted run.
 
-    ``guided=True`` hands scheduling to the coverage-guided
-    :class:`~repro.core.search.GuidedFrontier` (see
-    :func:`_execute_guided`): ``cases`` becomes the search space rather
-    than the execution list, and ``budget_cases`` caps how many cases
-    actually run.
-    """
-    tele = as_telemetry(telemetry)
-    original_metrics = None
-    if pool is None:
-        pool = WorkerPool(jobs=jobs, backend=backend, timeout=timeout,
-                          metrics=tele.metrics)
-    elif tele.enabled and not pool.metrics.enabled:
-        # borrow the campaign's registry for queue/pool metrics, but
-        # hand the pool back unchanged: a caller-supplied pool outlives
-        # this run and must not keep emitting into a stale campaign's
-        # registry
-        original_metrics = pool.metrics
-        pool.metrics = tele.metrics
-    try:
-        if guided:
-            return _execute_guided(app, factory, platform, profiles,
-                                   cases, pool=pool, snapshot=snapshot,
-                                   tele=tele, results=results,
-                                   results_key=results_key,
-                                   resume=resume,
-                                   budget_cases=budget_cases)
-        return _execute_exhaustive(app, factory, platform, profiles,
-                                   cases, pool=pool, snapshot=snapshot,
-                                   tele=tele, results=results,
-                                   results_key=results_key,
-                                   resume=resume)
-    finally:
-        if original_metrics is not None:
-            pool.metrics = original_metrics
-
-
-def _execute_exhaustive(app: str,
-                        factory,
-                        platform: Platform,
-                        profiles: Mapping[str, LibraryProfile],
-                        cases: Iterable[Any],
-                        *, pool: WorkerPool,
-                        snapshot: bool,
-                        tele: Telemetry,
-                        results,
-                        results_key: Optional[Mapping[str, Any]],
-                        resume: bool):
-    """The fixed-schedule path: run every enumerated case."""
-    from ..campaign import CampaignReport, CaseResult
-
-    case_list = list(cases)
-    profiles = dict(profiles)
-    capture = tele.enabled
-
-    journal = None
-    case_keys: List[str] = []
-    restored: Dict[int, CaseResult] = {}
-    restored_tasks: Dict[int, TaskResult] = {}
-    if results is not None:
-        from ..results import case_digest, restore_result
-        identity = dict(results_key or {})
-        identity.setdefault("app", app)
-        identity.setdefault("platform", platform)
-        identity.setdefault("profiles", profiles)
-        journal = results.open_campaign(
-            results.campaign_key(**identity), app=app)
-        case_keys = [case_digest(case) for case in case_list]
-        if resume:
-            finished = journal.finished()
-            for index, key in enumerate(case_keys):
-                record = finished.get(key)
-                if record is None:
-                    continue
-                restored[index] = restore_result(case_list[index], record)
-                restored_tasks[index] = TaskResult(
-                    index=index, status=record.get("task_status", TASK_OK),
-                    seconds=record.get("seconds", 0.0), waited=0.0)
-
-    pending = [(index, case) for index, case in enumerate(case_list)
-               if index not in restored]
-    pending_cases = [case for _, case in pending]
-
-    # Classification runs at the parent whenever results are durable:
-    # workers ship raw signals (status, output digest, coverage) and the
-    # parent assigns the failure-mode class, so every backend — and the
-    # snapshot path — journals identical classes.  The golden (no-fault)
-    # output digest is computed once per campaign and persisted in the
-    # journal's meta, so resumed runs classify against the same anchor.
-    observe = journal is not None
-    golden: Optional[str] = None
-    if journal is not None:
-        from ..results.matrix import classify_result
-        meta = journal.meta()
-        golden = meta.get("golden")
-        if golden is None and pending_cases and "golden" not in meta:
-            golden = _golden_digest(factory, platform, profiles)
-        journal.set_meta(golden=golden, cases_expected=len(case_list))
-
-    runner = None
-    if snapshot:
-        from .snapshot import SnapshotRunner
-        runner = SnapshotRunner(app, factory, platform, profiles,
-                                capture=capture, telemetry=tele,
-                                observe=observe)
-        if not runner.supported:
-            runner = None
-
-    def run_one(case):
-        if runner is not None:
-            return runner.run_case(case)
-        return _case_runner(factory, platform, profiles, case, capture,
-                            observe)
-
-    if pool.backend == PROCESS and pending_cases and pool.warmup is None:
-        if runner is not None:
-            # build every checkpoint in the parent: forked children
-            # inherit guests parked at the snapshot point (and the warm
-            # code cache) with an empty dirty-page set
-            def _warm_snapshots():
-                runner.warm(pending_cases)
-            pool.warmup = _warm_snapshots
-        else:
-            # prime the shared code cache in the parent: the first case
-            # decodes and block-compiles every image, and each forked
-            # child then inherits the warm cache instead of re-translating
-            def _warm_first(case=pending_cases[0]):
-                _case_runner(factory, platform, profiles, case, False)
-            pool.warmup = _warm_first
-
-    if tele.enabled:
-        tele.events.emit("campaign.start", app=app, cases=len(case_list),
-                         jobs=pool.jobs, backend=pool.backend,
-                         timeout=pool.timeout,
-                         snapshot=runner is not None)
-        if journal is not None:
-            tele.events.emit("campaign.resume", app=app,
-                             campaign=journal.key,
-                             resume=resume, skipped=len(restored),
-                             replayed=len(pending))
-            hits = tele.metrics.counter(
-                "repro_result_store_hits_total",
-                "Campaign cases satisfied from the durable result journal")
-            misses = tele.metrics.counter(
-                "repro_result_store_misses_total",
-                "Campaign cases executed and journaled durably")
-            if restored:
-                hits.inc(len(restored))
-            if pending:
-                misses.inc(len(pending))
-
-    def journal_progress(task: TaskResult) -> None:
-        # runs in the parent as each case (in input order) drains; the
-        # flush-per-record journal is what --resume picks up after a
-        # crash, so this must not wait for the pool to finish.  The
-        # failure-mode class is assigned here — in the parent — from
-        # the worker's raw signals, so it is backend-independent.
-        index, case = pending[task.index]
-        result = _finish_case(case, task, pool)
-        result.outcome_class = classify_result(result, golden)
-        journal.record(case_keys[index], case, result, task.status)
-
-    cache_before = CODE_CACHE.stats()
-    started = time.perf_counter()
-    try:
-        tasks = pool.map(run_one, pending_cases,
-                         progress=journal_progress
-                         if journal is not None else None)
-    finally:
-        if journal is not None:
-            journal.close()
-    duration = time.perf_counter() - started
-
-    task_by_index = {index: task
-                     for (index, _), task in zip(pending, tasks)}
-    all_tasks = [restored_tasks.get(i, task_by_index.get(i))
-                 for i in range(len(case_list))]
-
-    results_list: List[CaseResult] = []
-    for index, case in enumerate(case_list):
-        if index in restored:
-            result = restored[index]
-        else:
-            result = _finish_case(case, task_by_index[index], pool)
-        if journal is not None and result.outcome_class is None:
-            # legacy restored records and per-loop synthesized hung/
-            # crashed results; same inputs, same deterministic class
-            result.outcome_class = classify_result(result, golden)
-        if tele.enabled:
-            _replay_case_telemetry(tele, case, result)
-        results_list.append(result)
-
-    report = CampaignReport(app=app, results=results_list,
-                            duration=duration)
-    if journal is not None:
-        report.resumed = {"skipped": len(restored),
-                          "replayed": len(pending)}
-    run_registry = MetricsRegistry()
-    report.summary = summarize_tasks("campaign", app, report.outcome(),
-                                     duration, all_tasks, pool,
-                                     registry=run_registry)
-    if tele.enabled:
-        _record_execution_metrics(tele, results_list, cache_before)
-        tele.metrics.merge(run_registry.snapshot())
-        end_fields = dict(app=app, outcome=report.outcome(),
-                          duration=round(duration, 6),
-                          cases=len(results_list))
-        if runner is not None:
-            stats = runner.cache.stats()
-            end_fields.update(
-                snapshots_built=stats["built"],
-                snapshot_replays=sum(1 for r in results_list
-                                     if getattr(r, "snapshot", None)),
-                snapshot_fallbacks=runner.fallbacks)
-        tele.events.emit("campaign.end", **end_fields)
-    return report
-
-
-def _execute_guided(app: str,
-                    factory,
-                    platform: Platform,
-                    profiles: Mapping[str, LibraryProfile],
-                    cases: Iterable[Any],
-                    *, pool: WorkerPool,
-                    snapshot: bool,
-                    tele: Telemetry,
-                    results,
-                    results_key: Optional[Mapping[str, Any]],
-                    resume: bool,
-                    budget_cases: Optional[int]):
-    """The coverage-guided path: the frontier decides what runs.
-
-    ``cases`` seeds a :class:`~repro.core.search.GuidedFrontier`; the
-    engine then alternates frontier batches with pool runs, feeding
-    every finished case's coverage back between batches.  Because batch
-    width is fixed and observations apply in batch input order, the
-    schedule is a pure function of the case list and the per-case
-    coverage — identical across the serial, thread and process backends.
-
-    Resume replays the *scheduler*, not the journal: each scheduled
-    batch is checked against the journal and already-finished cases are
-    restored (and observed) instead of re-run, so an interrupted guided
-    campaign resumes into exactly the schedule the uninterrupted run
-    would have produced, converging on the same final matrix.
-    Classification signals (coverage, output digest) are always
-    collected — the frontier runs on them — so guided mode classifies
-    outcomes even without a result store attached.
+    One loop serves every schedule: it asks a scheduler for a batch,
+    runs the batch's unjournaled cases, restores the rest, and feeds
+    each case back through ``observe`` in batch order.  Exhaustive
+    scheduling is one batch of every case.  ``guided=True`` schedules
+    with the coverage-guided :class:`~repro.core.search.GuidedFrontier`
+    instead: ``cases`` becomes the search space and ``budget_cases``
+    caps how many cases run.  Its schedule depends only on the case
+    list and per-case coverage, so it is identical across backends and
+    under resume, which replays the scheduler, not the journal.
     """
     from ..campaign import CampaignReport
+    from ..results import case_digest, restore_result
     from ..results.matrix import classify_result
     from ..search import GuidedFrontier
 
+    tele = as_telemetry(telemetry)
+    pool = WorkerPool(jobs=jobs, backend=backend, timeout=timeout,
+                      metrics=tele.metrics)
     case_list = list(cases)
     profiles = dict(profiles)
     capture = tele.enabled
 
     journal = None
-    finished: Dict[str, Mapping[str, Any]] = {}
+    meta: Mapping[str, Any] = {}
+    finished: Mapping[str, Mapping[str, Any]] = {}
     if results is not None:
-        from ..results import case_digest, restore_result
         identity = dict(results_key or {})
         identity.setdefault("app", app)
         identity.setdefault("platform", platform)
         identity.setdefault("profiles", profiles)
         journal = results.open_campaign(
             results.campaign_key(**identity), app=app)
+        meta = journal.meta()
         if resume:
             finished = journal.finished()
+    digests: Dict[Any, str] = {}
 
-    # One golden run serves triple duty: the no-fault output digest
-    # anchors silent-corruption classification, the per-function call
-    # counts bound the frontier's ordinal axis, and the golden coverage
-    # seeds its seen-block set.  The guest is deterministic, so running
-    # it afresh on resume reproduces the identical search space; the
-    # digest honors a previously journaled anchor for classification
-    # continuity.
-    meta = journal.meta() if journal is not None else {}
-    golden, call_counts, golden_blocks = _golden_run(
-        factory, platform, profiles,
-        sorted({case.function for case in case_list}))
+    def lookup(case):
+        """A case's journal key and its journaled record, if finished."""
+        if journal is None:
+            return "", None
+        key = digests.get(case)
+        if key is None:
+            key = digests[case] = case_digest(case)
+        return key, finished.get(key)
+
+    def unjournaled() -> List[Any]:
+        return [case for case in case_list if lookup(case)[1] is None]
+
+    # Workers ship raw signals (status, output digest, coverage) and the
+    # parent classifies, so every backend journals identical classes.
+    # The anchor is the golden (no-fault) output digest, kept in the
+    # journal's meta so resumed runs classify against it.  Guided mode
+    # always classifies (the frontier runs on the signals); its golden
+    # run also yields the call counts bounding the ordinal axis and the
+    # coverage seeding the seen-block set, and the deterministic guest
+    # reproduces both on resume.  Exhaustive mode classifies only
+    # journaled results.
+    classify = guided or journal is not None
+    golden: Optional[str] = None
+    mode_meta: Dict[str, Any] = {}
+    expected = len(case_list)
+    if guided:
+        golden, call_counts, golden_blocks = _golden_run(
+            factory, platform, profiles,
+            sorted({case.function for case in case_list}))
+        scheduler = GuidedFrontier(case_list, budget_cases=budget_cases,
+                                   call_counts=call_counts,
+                                   baseline_blocks=golden_blocks,
+                                   telemetry=tele)
+        mode_meta = dict(call_counts=call_counts, guided=True)
+        if budget_cases is not None:
+            expected = min(budget_cases, expected)
+    else:
+        if classify and "golden" not in meta and unjournaled():
+            golden = _golden_digest(factory, platform, profiles)
+        scheduler = _ExhaustiveSchedule(case_list)
     if "golden" in meta:
-        golden = meta.get("golden")
+        golden = meta["golden"]
     if journal is not None:
-        journal.set_meta(golden=golden, call_counts=call_counts,
-                         guided=True,
-                         cases_expected=(min(budget_cases, len(case_list))
-                                         if budget_cases is not None
-                                         else len(case_list)))
-
-    frontier = GuidedFrontier(case_list, budget_cases=budget_cases,
-                              call_counts=call_counts,
-                              baseline_blocks=golden_blocks,
-                              telemetry=tele)
+        journal.set_meta(golden=golden, cases_expected=expected,
+                         **mode_meta)
 
     runner = None
     if snapshot:
         from .snapshot import SnapshotRunner
         runner = SnapshotRunner(app, factory, platform, profiles,
                                 capture=capture, telemetry=tele,
-                                observe=True)
+                                observe=classify)
         if not runner.supported:
             runner = None
 
@@ -679,32 +482,29 @@ def _execute_guided(app: str,
         if runner is not None:
             return runner.run_case(case)
         return _case_runner(factory, platform, profiles, case, capture,
-                            True)
+                            classify)
 
-    if pool.backend == PROCESS and case_list and pool.warmup is None:
-        # the pool re-runs its warmup hook on every map() call, and
-        # guided mode maps once per batch — make warming idempotent
-        warmed: List[bool] = []
+    def warm() -> None:
+        # runs in the parent before the first fork, so children inherit
+        # guests parked at every snapshot point (guided expansion only
+        # deepens ordinals of enumerated (function, action) pairs, so
+        # the enumerated cases name every checkpoint), or else a code
+        # cache primed by one case, instead of re-translating per case
+        pending = unjournaled()
+        if runner is not None:
+            runner.warm(pending)
+        elif pending:
+            _case_runner(factory, platform, profiles, pending[0], False)
 
-        def _warm_once():
-            if warmed:
-                return
-            warmed.append(True)
-            if runner is not None:
-                # expansion only deepens ordinals of already-enumerated
-                # (function, action) pairs, so checkpoints built for
-                # the seed list cover every case the frontier can emit
-                runner.warm(case_list)
-            else:
-                _case_runner(factory, platform, profiles, case_list[0],
-                             False)
-        pool.warmup = _warm_once
+    if pool.backend == PROCESS:
+        pool.warmup = warm
 
     if tele.enabled:
         tele.events.emit("campaign.start", app=app, cases=len(case_list),
                          jobs=pool.jobs, backend=pool.backend,
                          timeout=pool.timeout,
-                         snapshot=runner is not None, guided=True)
+                         snapshot=runner is not None,
+                         **({"guided": True} if guided else {}))
 
     results_list: List[Any] = []
     all_tasks: List[TaskResult] = []
@@ -713,49 +513,46 @@ def _execute_guided(app: str,
     started = time.perf_counter()
     try:
         while True:
-            batch = frontier.next_batch()
+            batch = scheduler.next_batch()
             if not batch:
                 break
-            entries = []        # (case, case_key, journaled record)
-            for case in batch:
-                key = case_digest(case) if journal is not None else ""
-                entries.append((case, key, finished.get(key)))
+            entries = [(case, *lookup(case)) for case in batch]
             to_run = [(pos, case)
                       for pos, (case, _key, record) in enumerate(entries)
                       if record is None]
+            ran: Dict[int, Any] = {}
 
-            def journal_progress(task: TaskResult, entries=entries,
-                                 to_run=to_run) -> None:
-                # parent-side, in batch input order, flushed per record
-                # — what --resume picks up after a crash (see the
-                # exhaustive path's journal_progress)
+            def drain(task: TaskResult) -> None:
+                # runs in the parent as each case drains, in batch input
+                # order; the flush-per-record journal is what --resume
+                # picks up after a crash, so this must not wait for the
+                # pool to finish
                 pos, case = to_run[task.index]
                 result = _finish_case(case, task, pool)
-                result.outcome_class = classify_result(result, golden)
-                journal.record(entries[pos][1], case, result, task.status)
+                if classify:
+                    result.outcome_class = classify_result(result, golden)
+                if journal is not None:
+                    journal.record(entries[pos][1], case, result,
+                                   task.status)
+                ran[pos] = (result, task)
 
-            tasks = pool.map(run_one, [case for _, case in to_run],
-                             progress=journal_progress
-                             if journal is not None else None)
-            task_at = {to_run[j][0]: tasks[j] for j in range(len(tasks))}
+            pool.map(run_one, [case for _, case in to_run], progress=drain)
 
             for pos, (case, _key, record) in enumerate(entries):
-                if record is not None:
+                if record is None:
+                    result, task = ran[pos]
+                else:
                     result = restore_result(case, record)
                     task = TaskResult(
-                        index=len(all_tasks),
-                        status=record.get("task_status", TASK_OK),
+                        index=pos, status=record.get("task_status", TASK_OK),
                         seconds=record.get("seconds", 0.0), waited=0.0)
                     restored_n += 1
-                else:
-                    task = task_at[pos]
-                    result = _finish_case(case, task, pool)
-                if result.outcome_class is None:
-                    result.outcome_class = classify_result(result, golden)
+                    if classify and result.outcome_class is None:
+                        # legacy records, journaled before classification
+                        result.outcome_class = classify_result(result, golden)
                 # feed back in batch input order — scheduling, events
                 # and the journal all share this one deterministic order
-                frontier.observe(case, result,
-                                 restored=record is not None)
+                scheduler.observe(case, result, restored=record is not None)
                 if tele.enabled:
                     _replay_case_telemetry(tele, case, result)
                 results_list.append(result)
@@ -765,11 +562,11 @@ def _execute_guided(app: str,
             journal.close()
     duration = time.perf_counter() - started
 
+    replayed = len(results_list) - restored_n
     report = CampaignReport(app=app, results=results_list,
                             duration=duration)
     if journal is not None:
-        report.resumed = {"skipped": restored_n,
-                          "replayed": len(results_list) - restored_n}
+        report.resumed = {"skipped": restored_n, "replayed": replayed}
     run_registry = MetricsRegistry()
     report.summary = summarize_tasks("campaign", app, report.outcome(),
                                      duration, all_tasks, pool,
@@ -780,20 +577,21 @@ def _execute_guided(app: str,
         if journal is not None:
             tele.events.emit("campaign.resume", app=app,
                              campaign=journal.key, resume=resume,
-                             skipped=restored_n,
-                             replayed=len(results_list) - restored_n)
+                             skipped=restored_n, replayed=replayed)
+            hits = tele.metrics.counter(
+                "repro_result_store_hits_total",
+                "Campaign cases satisfied from the durable result journal")
+            misses = tele.metrics.counter(
+                "repro_result_store_misses_total",
+                "Campaign cases executed and journaled durably")
             if restored_n:
-                tele.metrics.counter(
-                    "repro_result_store_hits_total",
-                    "Campaign cases satisfied from the durable result "
-                    "journal").inc(restored_n)
-            if len(results_list) - restored_n:
-                tele.metrics.counter(
-                    "repro_result_store_misses_total",
-                    "Campaign cases executed and journaled durably"
-                ).inc(len(results_list) - restored_n)
-        tele.events.emit("campaign.guided", app=app,
-                         enumerated=len(case_list), **frontier.summary())
+                hits.inc(restored_n)
+            if replayed:
+                misses.inc(replayed)
+        if guided:
+            tele.events.emit("campaign.guided", app=app,
+                             enumerated=len(case_list),
+                             **scheduler.summary())
         end_fields = dict(app=app, outcome=report.outcome(),
                           duration=round(duration, 6),
                           cases=len(results_list))

@@ -170,11 +170,13 @@ class WorkerPool:
             from ...obs.metrics import NULL_REGISTRY
             metrics = NULL_REGISTRY
         self.metrics = metrics
-        #: optional pre-fork hook (process backend only): called once at
-        #: the start of ``map`` so forked children inherit warm caches —
-        #: e.g. the shared code cache's decoded images and compiled
-        #: blocks (see core.exec.engine)
+        #: optional pre-fork hook (process backend only): called at the
+        #: start of the first ``map`` that has tasks — at most once per
+        #: pool — so forked children inherit warm caches, e.g. the
+        #: shared code cache's decoded images and compiled blocks (see
+        #: core.exec.engine)
         self.warmup: Optional[Callable[[], None]] = None
+        self._warmed = False
 
     # -- public API --------------------------------------------------------
 
@@ -192,7 +194,9 @@ class WorkerPool:
         items = list(items)
         if not items:
             return []
-        if self.backend == PROCESS and self.warmup is not None:
+        if self.backend == PROCESS and self.warmup is not None \
+                and not self._warmed:
+            self._warmed = True
             try:
                 self.warmup()
             except Exception:
@@ -328,6 +332,7 @@ class WorkerPool:
 
     def _invoke_subprocess(self, fn, item) -> Tuple[str, Any]:
         """Run one task in a forked child; enforce the timeout hard."""
+        from multiprocessing.connection import wait
         try:
             ctx = multiprocessing.get_context(self.mp_context)
         except ValueError:
@@ -337,8 +342,12 @@ class WorkerPool:
                            daemon=True)
         proc.start()
         send.close()
-        proc.join(self.timeout)
-        if proc.is_alive():
+        # wait on the exit sentinel, not is_alive(): another dispatcher
+        # thread's Process.start() polls every child, and when it reaps
+        # this one first is_alive() keeps reporting the dead child alive.
+        # Wait on the pipe too: a result larger than the pipe buffer
+        # keeps the child from exiting until the parent reads it.
+        if not wait([recv, proc.sentinel], self.timeout):
             proc.terminate()
             proc.join(1.0)
             if proc.is_alive():
@@ -346,17 +355,19 @@ class WorkerPool:
                 proc.join(1.0)
             recv.close()
             return (TASK_HUNG, None)
-        outcome: Tuple[str, Any] = (
-            TASK_CRASHED,
-            RemoteTaskError(f"worker died with exit code {proc.exitcode}"))
+        outcome: Optional[Tuple[str, Any]] = None
         if recv.poll():
             try:
                 kind, value = recv.recv()
                 outcome = ((TASK_OK, value) if kind == "ok"
                            else (TASK_ERROR, RemoteTaskError(value)))
             except (EOFError, OSError):
-                pass
+                pass        # the child died before sending a result
         recv.close()
+        proc.join()
+        if outcome is None:
+            outcome = (TASK_CRASHED, RemoteTaskError(
+                f"worker died with exit code {proc.exitcode}"))
         return outcome
 
 

@@ -260,7 +260,7 @@ class TestForceTransferAndSentinel:
         plan = Plan(name="passthrough")
         plan.add(FunctionTrigger(function="close", mode=INJECT_NTH,
                                  nth=99,            # never reached
-                                 codes=(ErrorCode(-1, "EIO"),)))
+                                 actions=(ErrorCode(-1, "EIO"),)))
         results = {}
         for use_blocks in (True, False):
             Cpu.use_blocks = use_blocks
@@ -547,6 +547,17 @@ class TestPoolWarmup:
         pool.warmup = lambda: calls.append(1)
         results = pool.map(lambda x: x * 2, [1, 2, 3])
         assert [r.value for r in results] == [2, 4, 6]
+        assert calls == [1]
+
+    def test_process_backend_warms_once_per_pool(self):
+        from repro.core.exec.pool import WorkerPool
+        calls = []
+        pool = WorkerPool(jobs=2, backend="process", timeout=30.0)
+        pool.warmup = lambda: calls.append(1)
+        assert pool.map(lambda x: x, []) == []
+        assert calls == []          # no tasks, nothing to fork for
+        pool.map(lambda x: x, [1, 2])
+        pool.map(lambda x: x, [3])
         assert calls == [1]
 
     def test_thread_backend_skips_warmup(self):

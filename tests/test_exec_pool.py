@@ -162,3 +162,34 @@ class TestProcessBackend:
         assert results[0].status == TASK_OK
         assert results[1].status == TASK_HUNG
         assert time.monotonic() - started < 10
+
+    def test_no_false_hangs_with_concurrent_dispatchers(self):
+        # with jobs >= 2, one dispatcher thread's Process.start() reaps
+        # other threads' finished children; those children must still
+        # be read as finished, not reaped as hung.  A result larger than
+        # the pipe buffer must not look hung either.
+        def task(x):
+            if x == "hang":
+                time.sleep(30)
+            if x == "crash":
+                os._exit(3)
+            if x == "large":
+                return bytes(1 << 20)   # well past the pipe buffer
+            deadline = time.perf_counter() + 0.003
+            while time.perf_counter() < deadline:
+                pass
+            return bytes(20_000)
+
+        pool = WorkerPool(jobs=2, backend=PROCESS, timeout=1.0)
+        results = pool.map(task, range(1200))
+        assert {r.status for r in results} == {TASK_OK}
+
+        started = time.monotonic()
+        hung, crashed, large = WorkerPool(
+            jobs=2, backend=PROCESS, timeout=0.5).map(
+                task, ["hang", "crash", "large"])
+        assert hung.status == TASK_HUNG
+        assert hung.seconds >= 0.5
+        assert crashed.status == TASK_CRASHED
+        assert large.status == TASK_OK and len(large.value) == 1 << 20
+        assert time.monotonic() - started < 10

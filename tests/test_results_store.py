@@ -287,6 +287,17 @@ def _copytool_factory(libc_linux):
     return factory
 
 
+def _assert_resume_follows_cases(events, *later_kinds):
+    """``campaign.resume`` is emitted once, after the last ``case``
+    event and before ``later_kinds`` and ``campaign.end``."""
+    kinds = [e.kind for e in events]
+    assert kinds.count("campaign.resume") == 1
+    at = kinds.index("campaign.resume")
+    assert "case" in kinds and "case" not in kinds[at:]
+    for kind in later_kinds + ("campaign.end",):
+        assert kinds.index(kind) > at
+
+
 class TestEngineIntegration:
     def _cases(self):
         return [FaultCase("close", ErrorCode(-1, e), 1)
@@ -332,6 +343,16 @@ class TestEngineIntegration:
         hits = tele.metrics.snapshot()[
             "repro_result_store_hits_total"]["values"]
         assert sum(v["value"] for v in hits) == 3
+        _assert_resume_follows_cases(sink.events)
+
+        # guided mode shares the loop: one resume event, after its cases
+        sink = MemorySink()
+        run_campaign("demo", _copytool_factory(libc_linux), LINUX_X86,
+                     libc_profiles_linux, self._cases(), guided=True,
+                     telemetry=Telemetry(sinks=[sink]),
+                     results=ResultStore(tmp_path / "guided"),
+                     results_key={"app": "demo"})
+        _assert_resume_follows_cases(sink.events, "campaign.guided")
 
     def test_changed_case_reruns_unchanged_skip(self, tmp_path, libc_linux,
                                                 libc_profiles_linux):
