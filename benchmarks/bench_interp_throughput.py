@@ -9,10 +9,11 @@ other number in EXPERIMENTS.md.  This benchmark measures it directly:
 * **minidb** — the campaign workload used by §6-style experiments
   (realistic mix: calls, PLT hops, syscalls, memory traffic).
 
-Both are measured on the block-compiled fast path and on the exact
-per-instruction path (the one a tracer gets), and the results land in
-``BENCH_interp.json`` next to the recorded pre-tentpole baseline so the
-speedup is tracked against a fixed denominator.
+Both are measured on the translated fast path (generated functions,
+see ``runtime/traces.py``) and on the exact per-instruction step path
+(the one a tracer gets), and the results land in ``BENCH_interp.json``
+next to the recorded pre-tentpole baseline so the speedup is tracked
+against a fixed denominator.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_interp_throughput.py``)
 or under pytest.  Set ``REPRO_BENCH_FAST=1`` for a CI-sized smoke run.
@@ -84,17 +85,14 @@ def _hot_loop_image(iters: int) -> SharedObject:
         exports=(Symbol("hot", labels["hot"], len(text)),))
 
 
-def _measure_hot_loop(use_blocks: bool, use_traces: bool = False) -> float:
+def _measure_hot_loop(use_blocks: bool) -> float:
     """Guest MIPS on the synthetic loop."""
     image = _hot_loop_image(_LOOP_ITERS)
     proc = Process(Kernel(), LINUX_X86)
     proc.load(image)
-    if hasattr(proc.cpu, "use_blocks"):
-        proc.cpu.use_blocks = use_blocks
-    if hasattr(proc.cpu, "use_traces"):
-        proc.cpu.use_traces = use_traces
+    proc.cpu.use_blocks = use_blocks
     try:                                        # warm caches / compile
-        proc.libcall("hot", max_steps=2_000 if use_traces else 200)
+        proc.libcall("hot", max_steps=200)
     except RuntimeFault:
         pass                                    # budget hit mid-loop: fine
     before = proc.cpu.instructions_executed
@@ -105,16 +103,12 @@ def _measure_hot_loop(use_blocks: bool, use_traces: bool = False) -> float:
     return executed / elapsed / 1e6
 
 
-def _measure_minidb(use_blocks: bool, use_traces: bool = False) -> float:
+def _measure_minidb(use_blocks: bool) -> float:
     """Guest MIPS across a minidb insert/select/checkpoint workload."""
     from repro.apps.minidb import MiniDB
 
-    old = getattr(Cpu, "use_blocks", None)
-    old_traces = getattr(Cpu, "use_traces", None)
-    if old is not None:
-        Cpu.use_blocks = use_blocks
-    if old_traces is not None:
-        Cpu.use_traces = use_traces
+    old = Cpu.use_blocks
+    Cpu.use_blocks = use_blocks
     try:
         executed = 0
         elapsed = 0.0
@@ -131,48 +125,36 @@ def _measure_minidb(use_blocks: bool, use_traces: bool = False) -> float:
             executed += db.proc.cpu.instructions_executed
         return executed / elapsed / 1e6
     finally:
-        if old is not None:
-            Cpu.use_blocks = old
-        if old_traces is not None:
-            Cpu.use_traces = old_traces
+        Cpu.use_blocks = old
 
 
 def _arms():
-    has_blocks = hasattr(Cpu, "use_blocks")
-    has_traces = hasattr(Cpu, "use_traces")
     results = {
         "hot_loop": {"step_mips": _measure_hot_loop(False),
-                     "block_mips": _measure_hot_loop(has_blocks)},
+                     "translated_mips": _measure_hot_loop(True)},
         "minidb": {"step_mips": _measure_minidb(False),
-                   "block_mips": _measure_minidb(has_blocks)},
+                   "translated_mips": _measure_minidb(True)},
     }
-    if has_traces:
-        results["hot_loop"]["trace_mips"] = _measure_hot_loop(
-            True, use_traces=True)
-        results["minidb"]["trace_mips"] = _measure_minidb(
-            True, use_traces=True)
     for name, arm in results.items():
         base = BASELINE[f"{name}_mips"]
-        best = arm.get("trace_mips", arm["block_mips"])
-        arm["speedup_vs_baseline"] = round(best / base, 2)
-        arm["speedup_vs_step"] = round(best / arm["step_mips"], 2)
+        arm["speedup_vs_baseline"] = round(arm["translated_mips"] / base, 2)
+        arm["speedup_vs_step"] = round(
+            arm["translated_mips"] / arm["step_mips"], 2)
     return results
 
 
 def _report(results, write_json: bool = True):
     rows = []
     for name, arm in results.items():
-        trace = arm.get("trace_mips")
-        trace_txt = f"{trace:7.3f} MIPS" if trace is not None else "      —"
         rows.append(
             f"{name:<10} {BASELINE[name + '_mips']:7.3f} MIPS   "
-            f"{arm['step_mips']:7.3f} MIPS   {arm['block_mips']:7.3f} MIPS"
-            f"   {trace_txt}   {arm['speedup_vs_baseline']:5.2f}x")
+            f"{arm['step_mips']:7.3f} MIPS   "
+            f"{arm['translated_mips']:7.3f} MIPS   "
+            f"{arm['speedup_vs_baseline']:5.2f}x")
     print_table(
         "interpreter throughput — guest MIPS "
         f"({'fast' if FAST else 'full'} mode)",
-        "workload    baseline       step path      block path     "
-        "trace path     speedup",
+        "workload    baseline       step path      translated     speedup",
         rows)
     if write_json:
         _OUT.write_text(json.dumps({
@@ -186,17 +168,15 @@ def _report(results, write_json: bool = True):
 
 
 def _assert_speedup(results) -> None:
-    if not hasattr(Cpu, "use_blocks"):
-        return          # pre-tentpole: baseline recording only
     # CI runners are noisy; the full-mode bar is the paper claim (3x),
     # the fast-mode bar a regression tripwire
     bar = 2.0 if FAST else 3.0
     speedup = results["hot_loop"]["speedup_vs_baseline"]
     assert speedup >= bar, \
         f"hot-loop speedup {speedup:.2f}x fell below {bar:.1f}x baseline"
-    assert results["minidb"]["block_mips"] \
+    assert results["minidb"]["translated_mips"] \
         >= results["minidb"]["step_mips"] * 0.9, \
-        "block compiler slower than per-instruction path on minidb"
+        "translated path slower than per-instruction path on minidb"
 
 
 def test_interp_throughput(benchmark):

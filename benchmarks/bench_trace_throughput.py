@@ -1,13 +1,15 @@
-"""Superblock traces + the no-fault fast path: throughput benchmarks.
+"""Linked translation + the no-fault fast path: throughput benchmarks.
 
-The trace tier (``runtime/traces.py``) links hot blocks into single
-exec-compiled superblocks, and the injector's dormant fast path
-(``core/controller/injector.py``) collapses intercepted calls to direct
-dispatch once a plan provably cannot fire again.  This benchmark
-measures both, against the block tier they sit on:
+The translator (``runtime/traces.py``) compiles every block entry with
+its statically predicted successors into one generated function, closing
+hot loops into native ``while`` loops, and the injector's dormant fast
+path (``core/controller/injector.py``) collapses intercepted calls to
+direct dispatch once a plan provably cannot fire again.  This benchmark
+measures both:
 
-* **hot loop** — guest MIPS with traces on vs off (same synthetic
-  kernel as ``bench_interp_throughput``, so numbers are comparable);
+* **hot loop** — guest MIPS on the translated path vs the step path
+  (same synthetic kernel as ``bench_interp_throughput``, so numbers are
+  comparable);
 * **dormant calls** — intercepted libc calls/sec through a
   stack-matched trigger whose call-ordinal horizon has passed (the
   dormant proof holds: no evaluation, no backtrace walk, no logbook)
@@ -16,9 +18,8 @@ measures both, against the block tier they sit on:
 * **no-fault campaign** — serial cases/sec on a minimal workload whose
   triggers fire on call 1 and go dormant for the rest of the case.
 
-Results land in ``BENCH_trace.json`` next to the recorded pre-trace
-block-tier baseline.  Runs standalone
-(``PYTHONPATH=src python benchmarks/bench_trace_throughput.py``)
+Results land in ``BENCH_trace.json`` next to the recorded baselines.
+Runs standalone (``PYTHONPATH=src python benchmarks/bench_trace_throughput.py``)
 or under pytest.  Set ``REPRO_BENCH_FAST=1`` for a CI-sized smoke run.
 """
 
@@ -56,7 +57,7 @@ _CAMPAIGN_ROUNDS = 1 if FAST else 3
 
 #: Pre-trace numbers, measured on this host with the block tier only
 #: (commit 2cb5f87, superblocks and the dormant fast path not yet
-#: landed) — the fixed denominator for the speedup claims below.
+#: landed) — the fixed denominator for ``speedup_vs_baseline``.
 BASELINE = {
     "interpreter": "block-compiled dispatch, per-call trigger "
                    "evaluation (pre-trace)",
@@ -64,23 +65,30 @@ BASELINE = {
     "minidb_block_mips": 0.72,
 }
 
+#: Hot-loop block/step MIPS ratio last committed in ``BENCH_interp.json``
+#: (2.649 / 0.834) while per-block closures were still a separate tier.
+#: The translated path had to beat that tier by 1.5x (1.2x in fast
+#: mode); with the tier gone, the same floor is stated against the step
+#: path: 1.5 x 3.18 = 4.8x (fast: 1.2 x 3.18 = 3.8x).
+BLOCK_OVER_STEP = 3.18
+
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
 
 
-def _measure_hot_loop(use_traces: bool) -> float:
-    """Guest MIPS on the synthetic loop, trace tier on or off."""
+def _measure_hot_loop(use_blocks: bool) -> float:
+    """Guest MIPS on the synthetic loop, translated or stepped."""
     image = _hot_loop_image(_LOOP_ITERS)
     proc = Process(Kernel(), LINUX_X86)
     proc.load(image)
-    proc.cpu.use_traces = use_traces
-    try:                                        # warm caches, link traces
+    proc.cpu.use_blocks = use_blocks
+    try:                                        # warm caches, translate
         proc.libcall("hot", max_steps=2_000)
     except RuntimeFault:
         pass
-    if use_traces:
-        assert any(getattr(b, "is_trace", False)
-                   for b in proc.cpu._blocks.values() if b is not None), \
-            "hot loop never promoted to a trace"
+    if use_blocks:
+        assert any(t is not None and t.linked
+                   for t in proc.cpu._blocks.values()), \
+            "hot loop never ran as a linked function"
     before = proc.cpu.instructions_executed
     started = time.perf_counter()
     proc.libcall("hot")
@@ -163,8 +171,8 @@ def _measure_nofault_campaign(image, profiles) -> dict:
 def _arms():
     image, profiles = _profiles()
     results = {
-        "hot_loop": {"block_mips": _measure_hot_loop(False),
-                     "trace_mips": _measure_hot_loop(True)},
+        "hot_loop": {"step_mips": _measure_hot_loop(False),
+                     "translated_mips": _measure_hot_loop(True)},
         "dormant_calls": {
             "live_calls_per_second": _measure_calls(
                 image, profiles, "live"),
@@ -175,10 +183,10 @@ def _arms():
         "nofault_campaign": _measure_nofault_campaign(image, profiles),
     }
     hot = results["hot_loop"]
-    hot["speedup_vs_block"] = round(hot["trace_mips"] / hot["block_mips"],
-                                    2)
+    hot["speedup_vs_step"] = round(
+        hot["translated_mips"] / hot["step_mips"], 2)
     hot["speedup_vs_baseline"] = round(
-        hot["trace_mips"] / BASELINE["hot_loop_block_mips"], 2)
+        hot["translated_mips"] / BASELINE["hot_loop_block_mips"], 2)
     calls = results["dormant_calls"]
     calls["speedup"] = round(calls["dormant_calls_per_second"]
                              / calls["live_calls_per_second"], 2)
@@ -197,12 +205,13 @@ def _report(results, write_json: bool = True):
     calls = results["dormant_calls"]
     camp = results["nofault_campaign"]
     print_table(
-        "trace tier + dormant fast path "
+        "linked translation + dormant fast path "
         f"({'fast' if FAST else 'full'} mode)",
-        "arm                         block/live           trace/dormant"
+        "arm                         step/live       translated/dormant"
         "        speedup",
-        [f"hot loop (MIPS)         {hot['block_mips']:10.3f}      "
-         f"{hot['trace_mips']:14.3f}      {hot['speedup_vs_block']:5.2f}x",
+        [f"hot loop (MIPS)         {hot['step_mips']:10.3f}      "
+         f"{hot['translated_mips']:14.3f}      "
+         f"{hot['speedup_vs_step']:5.2f}x",
          f"intercepted calls (/s)  {calls['live_calls_per_second']:10.1f}"
          f"      {calls['dormant_calls_per_second']:14.1f}      "
          f"{calls['speedup']:5.2f}x",
@@ -225,11 +234,11 @@ def _report(results, write_json: bool = True):
 def _assert_claims(results) -> None:
     # CI runners are noisy; the fast-mode bars are regression
     # tripwires, the full-mode bars the recorded claims
-    trace_bar = 1.2 if FAST else 1.5
+    linked_bar = round((1.2 if FAST else 1.5) * BLOCK_OVER_STEP, 1)
     hot = results["hot_loop"]
-    assert hot["speedup_vs_block"] >= trace_bar, \
-        (f"trace tier {hot['speedup_vs_block']:.2f}x over blocks fell "
-         f"below {trace_bar:.1f}x")
+    assert hot["speedup_vs_step"] >= linked_bar, \
+        (f"translated hot loop {hot['speedup_vs_step']:.2f}x over the "
+         f"step path fell below {linked_bar:.1f}x")
     dormant_bar = 1.02 if FAST else 1.08
     calls = results["dormant_calls"]
     assert calls["speedup"] >= dormant_bar, \

@@ -215,6 +215,24 @@ def image_digest(image: SharedObject) -> str:
     return cached
 
 
+def text_digest(image: SharedObject) -> str:
+    """Content hash of an image's code bytes alone.
+
+    The shared code cache keys on this rather than :func:`image_digest`:
+    decoding and translation read only the text, and campaign shims
+    differ case by case in soname and imports while their code repeats.
+    Memoized on the image like :func:`image_digest`.
+    """
+    cached = getattr(image, "_repro_text_digest", None)
+    if cached is None:
+        cached = hashlib.sha256(image.text).hexdigest()
+        try:
+            object.__setattr__(image, "_repro_text_digest", cached)
+        except (AttributeError, TypeError):    # exotic types with __slots__
+            pass
+    return cached
+
+
 # -- serialization helpers ----------------------------------------------
 
 def _put_str(out: bytearray, s: str) -> None:

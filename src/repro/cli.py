@@ -493,14 +493,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if code.get("blocks_compiled") or code.get("hits"):
         ratio = code.get("hit_ratio")
         line = (f"code cache: {code['hits']} hits, "
-                f"{code['blocks_compiled']} blocks compiled"
+                f"{code['blocks_compiled']} blocks translated"
                 + (f" ({ratio:.0%} hit ratio)" if ratio is not None
                    else ""))
-        if code.get("traces_linked") or code.get("trace_hits"):
-            line += (f", {code['traces_linked']} traces linked, "
-                     f"{code['trace_hits']} trace hits")
-        if code.get("trace_invalidations"):
-            line += f", {code['trace_invalidations']} invalidated"
+        if code.get("traces_linked"):
+            line += f", {code['traces_linked']} with linked successors"
         if code.get("evictions"):
             line += f", {code['evictions']} evicted"
         print(line)

@@ -255,7 +255,7 @@ class Controller:
         """Merged block-coverage counts across every attached process.
 
         Keys are block entry addresses, values dispatch counts.  Empty
-        when coverage was not armed (or nothing block-compiled ran).
+        when coverage was not armed (or no translated block ran).
         """
         merged: Dict[int, int] = {}
         for p in self.processes:

@@ -60,11 +60,11 @@ ARITY_OF = {name: arity for name, arity in MNEMONICS}
 CONDITIONAL_BRANCHES = frozenset(
     {"jz", "jnz", "js", "jns", "jl", "jle", "jg", "jge"})
 
-#: jcc mnemonic -> taken-predicate over the (ZF, SF) flag pair.  The
-#: single source of branch semantics: the per-instruction interpreter
-#: indexes it on every conditional jump and the block compiler bakes the
-#: predicate into fused compare-and-branch closures.  (Signed compares
-#: set SF from the *un-wrapped* difference, so jl ≡ js and jge ≡ jns.)
+#: jcc mnemonic -> taken-predicate over the (ZF, SF) flag pair: the
+#: branch semantics the step interpreter runs on every conditional jump
+#: (the translator's predicate source in ``runtime.traces`` spells the
+#: same table out as Python expressions).  (Signed compares set SF from
+#: the *un-wrapped* difference, so jl ≡ js and jge ≡ jns.)
 JCC_TAKEN = {
     "jz": lambda zf, sf: zf,
     "jnz": lambda zf, sf: not zf,

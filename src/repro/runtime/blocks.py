@@ -1,754 +1,119 @@
-"""Basic-block closure compiler (the threaded-code fast path).
+"""Basic-block selection, plus block-coverage export.
 
-Straight-line predecoded instruction runs — ending at the first control
-transfer — are translated once into lists of specialized Python
-closures: operand shapes are dispatched at *compile* time, so the hot
-path never re-inspects ``isinstance(op, Reg)``; register names resolve
-to list indices, immediates to captured constants, memory operands to
-prebuilt effective-address thunks (with the TLS segment base folded in
-as a compile-time displacement).  ``cmp``/``test`` immediately followed
-by a conditional jump fuse into a single branch closure that computes
-the predicate from the unwrapped difference, materializes ZF/SF, and
-sets ``eip`` — one closure call for two guest instructions.
+A *block* is the straight-line run of predecoded instructions that
+starts at an entry address and ends at the first control transfer (or
+at an instruction the translator does not handle, or after
+:data:`MAX_BLOCK_INSNS` operations).  :func:`scan_block` decides where
+blocks start and end, and which addresses have no block at all — the CPU
+single-steps those.  The translator (:mod:`repro.runtime.traces`) turns
+each block, with its statically predicted successors, into generated
+Python source.
 
-Compilation is two-stage so translations can be shared across guest
-processes (and OS threads):
+Selection is deliberately independent of the translator's templates:
+block entries and extents fix what ``cpu.coverage`` counts, so changing
+how a block is translated never changes a coverage map, a coverage
+digest, or a guided schedule built from one.
 
-1. :func:`compile_block` produces an immutable :class:`BlockTemplate`
-   whose ops are *binder* factories ``bind(rt) -> closure`` closing over
-   pure constants only — safe to cache per (image digest, machine, base)
-   in the cross-process code cache.
-2. Each CPU binds the template against its own ``_BindContext`` (the
-   register list, memory accessors, host table), yielding the zero-arg
-   closures it actually runs.
+The shapes a block may contain:
 
-Semantics contract with ``cpu.Cpu``:
-
-* data closures never touch ``eip`` and fault with registers/memory in
-  exactly the state the step path would leave (operand evaluation order
-  is preserved);
-* the control closure — always last — replicates the step path's
-  ``eip`` transitions precisely, including the PLT resolution happening
-  at *run* time (a front-spliced shim must win even for already
-  compiled calls);
-* fused pairs only form when neither fused instruction can fault
-  (register/immediate operands, direct targets), so the block's
-  instruction accounting never splits a pair.
+* data instructions whose operands are registers, immediates or memory
+  in the positions the step path can read or write them (see
+  :func:`_data_ok`), plus ``int 0x80``;
+* one ending transfer: ``ret``, ``hlt``, a conditional branch with a
+  direct target, or ``call``/``jmp`` in direct, register or import-slot
+  form;
+* ``cmp``/``test`` over registers and immediates immediately followed by
+  a direct conditional branch fuse into one operation of weight 2 (the
+  pair never faults, so the instruction accounting never splits it).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..errors import IllegalInstruction
 from ..isa import Imm, ImportSlot, Mem, Reg
 from ..isa.instructions import CONTROL_FLOW, JCC_TAKEN
-from ..layout import HOST_REGION_BASE
 from .memory import MASK32
 
-#: Translation stops after this many instructions even without a control
-#: transfer (bounds template size; the next block chains via fallthrough).
+#: Selection stops after this many operations even without a control
+#: transfer (bounds the generated code; the next block follows via
+#: fallthrough).
 MAX_BLOCK_INSNS = 128
 
-_SIGN_BIT = 0x80000000
-_WRAP = 0x100000000
+_READABLE = (Reg, Imm, Mem)
+_WRITABLE = (Reg, Mem)
+_TWO_OPERAND = frozenset(
+    {"mov", "add", "sub", "and", "or", "xor", "imul", "shl", "shr"})
+_ONE_OPERAND_DST = frozenset({"neg", "not", "inc", "dec", "pop"})
 
 
-class BlockTemplate:
-    """One compiled basic block, shareable across processes."""
+class Block:
+    """The extent of one block and its instruction accounting."""
 
-    __slots__ = ("entry", "binders", "addrs", "cum", "count", "ctl_index",
+    __slots__ = ("entry", "addrs", "cum", "count", "ctl_index",
                  "fallthrough")
 
-    def __init__(self, entry: int, binders: Tuple[Callable, ...],
-                 addrs: Tuple[int, ...], cum: Tuple[int, ...], count: int,
-                 ctl_index: int, fallthrough: Optional[int]) -> None:
+    def __init__(self, entry: int, addrs: Tuple[int, ...],
+                 cum: Tuple[int, ...], count: int, ctl_index: int,
+                 fallthrough: Optional[int]) -> None:
         self.entry = entry
-        self.binders = binders          # bind(rt) -> zero-arg closure
-        self.addrs = addrs              # guest address per closure
+        self.addrs = addrs              # guest address per operation
         self.cum = cum                  # guest insns executed before op i
         self.count = count              # guest insns in the whole block
         self.ctl_index = ctl_index      # index of the control op, or -1
         self.fallthrough = fallthrough  # next eip when no control op ran
 
 
-# -- effective addresses and operand readers --------------------------------
-
-
-def _ea(op: Mem, abi, tls_base: int):
-    """Binder for a memory operand's effective address.
-
-    TLS (`gs:`) references resolve against the module that contains the
-    code, which is fixed at compile time — so the segment base folds
-    into the displacement and costs nothing at run time.
-    """
-    disp = op.disp
-    if op.segment == "gs":
-        disp += tls_base
-    scale = op.scale
-    base_i = abi.reg_id(op.base) if op.base else None
-    index_i = abi.reg_id(op.index) if op.index else None
-    if base_i is None and index_i is None:
-        const = disp & MASK32
-        return lambda rt: (lambda: const)
-    if index_i is None:
-        def bind(rt):
-            v = rt.values
-            return lambda: (v[base_i] + disp) & MASK32
-        return bind
-    def bind(rt):
-        v = rt.values
-        return lambda: (v[base_i] + v[index_i] * scale + disp) & MASK32
-    return bind
-
-
-def _read_u(op, abi, tls_base: int):
-    """Binder for an unsigned (raw 32-bit) operand read, or None."""
-    if isinstance(op, Reg):
-        i = abi.reg_id(op.name)
-        def bind(rt):
-            v = rt.values
-            return lambda: v[i]
-        return bind
-    if isinstance(op, Imm):
-        const = op.value & MASK32
-        return lambda rt: (lambda: const)
-    if isinstance(op, Mem):
-        ea = _ea(op, abi, tls_base)
-        def bind(rt):
-            read = rt.read_u32
-            a = ea(rt)
-            return lambda: read(a())
-        return bind
-    return None
-
-
-# -- data instructions -------------------------------------------------------
-
-
-def _mov(insn, abi, tls_base):
-    dst, src = insn.operands
-    if isinstance(dst, Reg):
-        di = abi.reg_id(dst.name)
-        if isinstance(src, Reg):
-            si = abi.reg_id(src.name)
-            def bind(rt):
-                v = rt.values
-                def op():
-                    v[di] = v[si]
-                return op
-            return bind
-        if isinstance(src, Imm):
-            const = src.value & MASK32
-            def bind(rt):
-                v = rt.values
-                def op():
-                    v[di] = const
-                return op
-            return bind
-        if isinstance(src, Mem):
-            ea = _ea(src, abi, tls_base)
-            def bind(rt):
-                v = rt.values
-                read = rt.read_u32
-                a = ea(rt)
-                def op():
-                    v[di] = read(a())
-                return op
-            return bind
-        return None
-    if isinstance(dst, Mem):
-        ea = _ea(dst, abi, tls_base)
-        if isinstance(src, Reg):
-            si = abi.reg_id(src.name)
-            def bind(rt):
-                v = rt.values
-                write = rt.write_u32
-                a = ea(rt)
-                def op():
-                    write(a(), v[si])
-                return op
-            return bind
-        if isinstance(src, Imm):
-            const = src.value & MASK32
-            def bind(rt):
-                write = rt.write_u32
-                a = ea(rt)
-                def op():
-                    write(a(), const)
-                return op
-            return bind
-        if isinstance(src, Mem):
-            src_ea = _ea(src, abi, tls_base)
-            def bind(rt):
-                read = rt.read_u32
-                write = rt.write_u32
-                a = ea(rt)
-                b = src_ea(rt)
-                def op():
-                    # src read happens before the dst write, as in the
-                    # step path (a faulting read must not have stored)
-                    write(a(), read(b()))
-                return op
-            return bind
-    return None
-
-
-def _lea(insn, abi, tls_base):
-    dst, src = insn.operands
-    if not isinstance(src, Mem) or not isinstance(dst, Reg):
-        return None
-    di = abi.reg_id(dst.name)
-    ea = _ea(src, abi, tls_base)
-    def bind(rt):
-        v = rt.values
-        a = ea(rt)
-        def op():
-            v[di] = a()
-        return op
-    return bind
-
-
-#: Unmasked arithmetic over raw u32 inputs — results are masked (and
-#: flags derived from the masked value) in the closures below, matching
-#: the step path's write-then-``sgn32``-flags sequence bit for bit.
-_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "imul": lambda a, b:
-        (a - _WRAP if a >= _SIGN_BIT else a)
-        * (b - _WRAP if b >= _SIGN_BIT else b),
-    "shl": lambda a, b: a << (b & 31),
-    "shr": lambda a, b: a >> (b & 31),
-}
-
-
-def _arith(insn, abi, tls_base):
+def _data_ok(insn) -> bool:
+    """Whether a block may contain data instruction ``insn``."""
     m = insn.mnemonic
-    fn = _ARITH[m]
-    dst, src = insn.operands
-    if isinstance(dst, Reg):
-        di = abi.reg_id(dst.name)
-        if isinstance(src, Imm):
-            const = src.value & MASK32
-            def bind(rt):
-                v = rt.values
-                cpu = rt.cpu
-                def op():
-                    r = fn(v[di], const) & MASK32
-                    v[di] = r
-                    cpu.zf = r == 0
-                    cpu.sf = r >= _SIGN_BIT
-                return op
-            return bind
-        if isinstance(src, Reg):
-            si = abi.reg_id(src.name)
-            def bind(rt):
-                v = rt.values
-                cpu = rt.cpu
-                def op():
-                    r = fn(v[di], v[si]) & MASK32
-                    v[di] = r
-                    cpu.zf = r == 0
-                    cpu.sf = r >= _SIGN_BIT
-                return op
-            return bind
-        if isinstance(src, Mem):
-            ea = _ea(src, abi, tls_base)
-            def bind(rt):
-                v = rt.values
-                cpu = rt.cpu
-                read = rt.read_u32
-                a = ea(rt)
-                def op():
-                    r = fn(v[di], read(a())) & MASK32
-                    v[di] = r
-                    cpu.zf = r == 0
-                    cpu.sf = r >= _SIGN_BIT
-                return op
-            return bind
-        return None
-    if isinstance(dst, Mem):
-        src_rd = _read_u(src, abi, tls_base)
-        if src_rd is None:
-            return None
-        ea = _ea(dst, abi, tls_base)
-        def bind(rt):
-            cpu = rt.cpu
-            read = rt.read_u32
-            write = rt.write_u32
-            a = ea(rt)
-            b = src_rd(rt)
-            def op():
-                addr = a()
-                r = fn(read(addr), b()) & MASK32
-                write(addr, r)
-                cpu.zf = r == 0
-                cpu.sf = r >= _SIGN_BIT
-            return op
-        return bind
-    return None
+    ops = insn.operands
+    if m in ("nop", "leave"):
+        return True
+    if m in _TWO_OPERAND:
+        return isinstance(ops[0], _WRITABLE) \
+            and isinstance(ops[1], _READABLE)
+    if m in _ONE_OPERAND_DST:
+        return isinstance(ops[0], _WRITABLE)
+    if m == "push":
+        return isinstance(ops[0], _READABLE)
+    if m in ("cmp", "test"):
+        return isinstance(ops[0], _READABLE) \
+            and isinstance(ops[1], _READABLE)
+    if m == "lea":
+        return isinstance(ops[0], Reg) and isinstance(ops[1], Mem)
+    if m == "int":
+        return isinstance(ops[0], Imm) and (ops[0].value & MASK32) == 0x80
+    return False
 
 
-def _unary(insn, abi, tls_base):
+def _control_ok(insn, target: Optional[int]) -> bool:
+    """Whether a block may end with transfer ``insn``."""
     m = insn.mnemonic
-    (dst,) = insn.operands
-    if m == "neg":
-        fn = lambda a: -(a - _WRAP) if a >= _SIGN_BIT else -a
-        flags = True
-    elif m == "not":
-        fn = lambda a: ~a
-        flags = False
-    elif m == "inc":
-        fn = lambda a: a + 1
-        flags = True
-    else:   # dec
-        fn = lambda a: a - 1
-        flags = True
-    if isinstance(dst, Reg):
-        di = abi.reg_id(dst.name)
-        if flags:
-            def bind(rt):
-                v = rt.values
-                cpu = rt.cpu
-                def op():
-                    r = fn(v[di]) & MASK32
-                    v[di] = r
-                    cpu.zf = r == 0
-                    cpu.sf = r >= _SIGN_BIT
-                return op
-            return bind
-        def bind(rt):
-            v = rt.values
-            def op():
-                v[di] = fn(v[di]) & MASK32
-            return op
-        return bind
-    if isinstance(dst, Mem):
-        ea = _ea(dst, abi, tls_base)
-        if flags:
-            def bind(rt):
-                cpu = rt.cpu
-                read = rt.read_u32
-                write = rt.write_u32
-                a = ea(rt)
-                def op():
-                    addr = a()
-                    r = fn(read(addr)) & MASK32
-                    write(addr, r)
-                    cpu.zf = r == 0
-                    cpu.sf = r >= _SIGN_BIT
-                return op
-            return bind
-        def bind(rt):
-            read = rt.read_u32
-            write = rt.write_u32
-            a = ea(rt)
-            def op():
-                addr = a()
-                write(addr, ~read(addr) & MASK32)
-            return op
-        return bind
-    return None
+    if m in ("ret", "hlt"):
+        return True
+    if target is not None:
+        return True
+    return m in ("call", "jmp") \
+        and isinstance(insn.operands[0], (Reg, ImportSlot))
 
 
-def _cmp_or_test(insn, abi, tls_base):
-    """Standalone (unfused) flag setters."""
-    m = insn.mnemonic
-    a_rd = _read_u(insn.operands[0], abi, tls_base)
-    b_rd = _read_u(insn.operands[1], abi, tls_base)
-    if a_rd is None or b_rd is None:
-        return None
-    if m == "cmp":
-        def bind(rt):
-            cpu = rt.cpu
-            ra = a_rd(rt)
-            rb = b_rd(rt)
-            def op():
-                a = ra()
-                b = rb()
-                d = ((a - _WRAP) if a >= _SIGN_BIT else a) \
-                    - ((b - _WRAP) if b >= _SIGN_BIT else b)
-                cpu.zf = d == 0
-                cpu.sf = d < 0
-            return op
-        return bind
-    def bind(rt):
-        cpu = rt.cpu
-        ra = a_rd(rt)
-        rb = b_rd(rt)
-        def op():
-            r = ra() & rb()
-            cpu.zf = r == 0
-            cpu.sf = r >= _SIGN_BIT
-        return op
-    return bind
+def _fuses(insn, nxt) -> bool:
+    """Whether ``insn`` (a ``cmp``/``test``) fuses with the decoded
+    entry ``nxt`` that follows it."""
+    return nxt is not None and nxt[0].mnemonic in JCC_TAKEN \
+        and nxt[2] is not None \
+        and all(isinstance(op, (Reg, Imm)) for op in insn.operands)
 
 
-def _push(insn, abi, tls_base):
-    (src,) = insn.operands
-    spi = abi.reg_id(abi.stack_pointer)
-    if isinstance(src, Reg):
-        si = abi.reg_id(src.name)
-        def bind(rt):
-            v = rt.values
-            write = rt.write_u32
-            def op():
-                sp = (v[spi] - 4) & MASK32
-                v[spi] = sp
-                write(sp, v[si])
-            return op
-        return bind
-    if isinstance(src, Imm):
-        const = src.value & MASK32
-        def bind(rt):
-            v = rt.values
-            write = rt.write_u32
-            def op():
-                sp = (v[spi] - 4) & MASK32
-                v[spi] = sp
-                write(sp, const)
-            return op
-        return bind
-    if isinstance(src, Mem):
-        ea = _ea(src, abi, tls_base)
-        def bind(rt):
-            v = rt.values
-            read = rt.read_u32
-            write = rt.write_u32
-            a = ea(rt)
-            def op():
-                val = read(a())     # may fault; sp must not have moved
-                sp = (v[spi] - 4) & MASK32
-                v[spi] = sp
-                write(sp, val)
-            return op
-        return bind
-    return None
+def scan_block(entry: int, code: Dict[int, Tuple]) -> Optional[Block]:
+    """Select the block starting at ``entry``.
 
-
-def _pop(insn, abi, tls_base):
-    (dst,) = insn.operands
-    spi = abi.reg_id(abi.stack_pointer)
-    if isinstance(dst, Reg):
-        di = abi.reg_id(dst.name)
-        def bind(rt):
-            v = rt.values
-            read = rt.read_u32
-            def op():
-                sp = v[spi]
-                val = read(sp)
-                v[spi] = (sp + 4) & MASK32
-                v[di] = val          # after the bump: pop-into-sp wins
-            return op
-        return bind
-    if isinstance(dst, Mem):
-        ea = _ea(dst, abi, tls_base)
-        def bind(rt):
-            v = rt.values
-            read = rt.read_u32
-            write = rt.write_u32
-            a = ea(rt)
-            def op():
-                sp = v[spi]
-                val = read(sp)
-                v[spi] = (sp + 4) & MASK32
-                write(a(), val)      # EA sees the post-pop sp
-            return op
-        return bind
-    return None
-
-
-def _leave(insn, abi, tls_base):
-    spi = abi.reg_id(abi.stack_pointer)
-    fpi = abi.reg_id(abi.frame_pointer)
-    def bind(rt):
-        v = rt.values
-        read = rt.read_u32
-        def op():
-            sp = v[fpi]
-            v[spi] = sp
-            val = read(sp)
-            v[spi] = (sp + 4) & MASK32
-            v[fpi] = val
-        return op
-    return bind
-
-
-def _nop(insn, abi, tls_base):
-    def bind(rt):
-        def op():
-            pass
-        return op
-    return bind
-
-
-def _int(insn, abi, tls_base, addr):
-    (vec,) = insn.operands
-    if not isinstance(vec, Imm) or (vec.value & MASK32) != 0x80:
-        return None
-    nr_i = abi.reg_id(abi.syscall_number_register)
-    arg_is = tuple(abi.reg_id(r) for r in abi.syscall_arg_registers)
-    ret_i = abi.reg_id(abi.return_register)
-    def bind(rt):
-        cpu = rt.cpu
-        proc = rt.proc
-        v = rt.values
-        dispatch = proc.kernel.dispatch
-        def op():
-            # handlers may inspect eip (and ProcessExit propagates with
-            # it), so park it on the int instruction like the step path
-            cpu.eip = addr
-            v[ret_i] = dispatch(proc, v[nr_i],
-                                [v[i] for i in arg_is]) & MASK32
-        return op
-    return bind
-
-
-_DATA_BINDERS = {
-    "mov": _mov,
-    "lea": _lea,
-    "add": _arith, "sub": _arith, "and": _arith, "or": _arith,
-    "xor": _arith, "imul": _arith, "shl": _arith, "shr": _arith,
-    "neg": _unary, "not": _unary, "inc": _unary, "dec": _unary,
-    "cmp": _cmp_or_test, "test": _cmp_or_test,
-    "push": _push, "pop": _pop,
-    "leave": _leave,
-    "nop": _nop,
-}
-
-
-# -- control instructions ----------------------------------------------------
-
-
-def _control_binder(m, insn, addr, next_eip, target, abi):
-    """Binder for the block-ending transfer, or None to leave the
-    instruction to the step path."""
-    if m == "ret":
-        def bind(rt):
-            cpu = rt.cpu
-            def op():
-                cpu.eip = addr
-                cpu.do_return()
-            return op
-        return bind
-    if m == "hlt":
-        def bind(rt):
-            cpu = rt.cpu
-            def op():
-                cpu.eip = addr
-                raise IllegalInstruction("hlt executed", eip=addr)
-            return op
-        return bind
-    if m == "call":
-        (op0,) = insn.operands
-        if target is not None:
-            dest = target
-            def bind(rt):
-                cpu = rt.cpu
-                enter = cpu._enter
-                def op():
-                    cpu.eip = next_eip
-                    enter(dest, is_call=True, return_addr=next_eip)
-                return op
-            return bind
-        if isinstance(op0, Reg):
-            ri = abi.reg_id(op0.name)
-            def bind(rt):
-                cpu = rt.cpu
-                v = rt.values
-                enter = cpu._enter
-                def op():
-                    dest = v[ri]
-                    cpu.eip = next_eip
-                    enter(dest, is_call=True, return_addr=next_eip)
-                return op
-            return bind
-        if isinstance(op0, ImportSlot):
-            slot = op0.slot
-            def bind(rt):
-                cpu = rt.cpu
-                resolve = rt.proc.plt_resolve
-                enter = cpu._enter
-                def op():
-                    # resolved per call: a front-spliced shim flushes
-                    # the PLT cache and must win retroactively
-                    cpu.eip = addr
-                    dest = resolve(addr, slot)
-                    cpu.eip = next_eip
-                    enter(dest, is_call=True, return_addr=next_eip)
-                return op
-            return bind
-        return None
-    if m == "jmp":
-        (op0,) = insn.operands
-        if target is not None:
-            dest = target
-            if dest < HOST_REGION_BASE:
-                # direct intra-module jumps can never land on a host
-                # function — skip the host-table probe entirely
-                def bind(rt):
-                    cpu = rt.cpu
-                    def op():
-                        cpu.eip = dest
-                    return op
-                return bind
-            def bind(rt):
-                cpu = rt.cpu
-                hosts = rt.hosts
-                def op():
-                    cpu.eip = dest
-                    host = hosts.get(dest)
-                    if host is not None:
-                        cpu._invoke_host(host)
-                return op
-            return bind
-        if isinstance(op0, Reg):
-            ri = abi.reg_id(op0.name)
-            def bind(rt):
-                cpu = rt.cpu
-                v = rt.values
-                hosts = rt.hosts
-                def op():
-                    dest = v[ri]
-                    cpu.eip = dest
-                    host = hosts.get(dest)
-                    if host is not None:
-                        cpu._invoke_host(host)
-                return op
-            return bind
-        if isinstance(op0, ImportSlot):
-            slot = op0.slot
-            def bind(rt):
-                cpu = rt.cpu
-                resolve = rt.proc.plt_resolve
-                hosts = rt.hosts
-                def op():
-                    cpu.eip = addr
-                    dest = resolve(addr, slot)
-                    cpu.eip = dest
-                    host = hosts.get(dest)
-                    if host is not None:
-                        cpu._invoke_host(host)
-                return op
-            return bind
-        return None
-    # conditional branch
-    pred = JCC_TAKEN.get(m)
-    if pred is None or target is None:
-        return None
-    taken = target
-    def bind(rt):
-        cpu = rt.cpu
-        def op():
-            cpu.eip = taken if pred(cpu.zf, cpu.sf) else next_eip
-        return op
-    return bind
-
-
-def _fused_branch(m, insn, jcc_m, taken, not_taken, abi):
-    """One closure for ``cmp/test reg|imm, reg|imm`` + ``jcc``.
-
-    Only non-faulting operand shapes fuse, so the pair executes
-    atomically with weight 2 in the block accounting.
+    ``code`` maps absolute addresses to predecoded ``(insn, size,
+    target)`` entries.  Returns None when the entry address has no
+    block (unmapped, or a shape only the step path handles) — the CPU
+    caches that verdict and single-steps there.
     """
-    pred = JCC_TAKEN[jcc_m]
-    a_op, b_op = insn.operands
-    if isinstance(a_op, Mem) or isinstance(b_op, Mem):
-        return None
-    if m == "cmp":
-        # hottest shape first: cmp reg, imm
-        if isinstance(a_op, Reg) and isinstance(b_op, Imm):
-            ai = abi.reg_id(a_op.name)
-            const = b_op.value
-            def bind(rt):
-                cpu = rt.cpu
-                v = rt.values
-                def op():
-                    a = v[ai]
-                    d = ((a - _WRAP) if a >= _SIGN_BIT else a) - const
-                    z = d == 0
-                    s = d < 0
-                    cpu.zf = z
-                    cpu.sf = s
-                    cpu.eip = taken if pred(z, s) else not_taken
-                return op
-            return bind
-        if isinstance(a_op, Reg) and isinstance(b_op, Reg):
-            ai = abi.reg_id(a_op.name)
-            bi = abi.reg_id(b_op.name)
-            def bind(rt):
-                cpu = rt.cpu
-                v = rt.values
-                def op():
-                    a = v[ai]
-                    b = v[bi]
-                    d = ((a - _WRAP) if a >= _SIGN_BIT else a) \
-                        - ((b - _WRAP) if b >= _SIGN_BIT else b)
-                    z = d == 0
-                    s = d < 0
-                    cpu.zf = z
-                    cpu.sf = s
-                    cpu.eip = taken if pred(z, s) else not_taken
-                return op
-            return bind
-        a_rd = _read_u(a_op, abi, 0)
-        b_rd = _read_u(b_op, abi, 0)
-        if a_rd is None or b_rd is None:
-            return None
-        def bind(rt):
-            cpu = rt.cpu
-            ra = a_rd(rt)
-            rb = b_rd(rt)
-            def op():
-                a = ra()
-                b = rb()
-                d = ((a - _WRAP) if a >= _SIGN_BIT else a) \
-                    - ((b - _WRAP) if b >= _SIGN_BIT else b)
-                z = d == 0
-                s = d < 0
-                cpu.zf = z
-                cpu.sf = s
-                cpu.eip = taken if pred(z, s) else not_taken
-            return op
-        return bind
-    # test
-    a_rd = _read_u(a_op, abi, 0)
-    b_rd = _read_u(b_op, abi, 0)
-    if a_rd is None or b_rd is None:
-        return None
-    def bind(rt):
-        cpu = rt.cpu
-        ra = a_rd(rt)
-        rb = b_rd(rt)
-        def op():
-            r = ra() & rb()
-            z = r == 0
-            s = r >= _SIGN_BIT
-            cpu.zf = z
-            cpu.sf = s
-            cpu.eip = taken if pred(z, s) else not_taken
-        return op
-    return bind
-
-
-# -- the translator ----------------------------------------------------------
-
-
-def compile_block(entry: int, code: Dict[int, Tuple], abi,
-                  tls_base: int) -> Optional[BlockTemplate]:
-    """Translate the straight-line run starting at ``entry``.
-
-    ``code`` maps absolute addresses to predecoded
-    ``(insn, size, target)`` entries.  Returns None when the entry
-    address has no compilable instruction (unmapped, or an operand shape
-    only the step path handles) — the CPU caches that verdict and
-    single-steps there.
-    """
-    binders = []
     addrs = []
     weights = []
     ctl_index = -1
@@ -765,51 +130,36 @@ def compile_block(entry: int, code: Dict[int, Tuple], abi,
         m = insn.mnemonic
         next_eip = addr + size
         if m in CONTROL_FLOW or m == "hlt":
-            b = _control_binder(m, insn, addr, next_eip, target, abi)
-            if b is None:
+            if not _control_ok(insn, target):
                 fallthrough = addr
                 break
-            binders.append(b)
+            ctl_index = len(addrs)
             addrs.append(addr)
             weights.append(1)
-            ctl_index = len(binders) - 1
             break
-        if m in ("cmp", "test"):
-            nxt = code.get(next_eip)
-            if nxt is not None and nxt[0].mnemonic in JCC_TAKEN \
-                    and nxt[2] is not None:
-                fused = _fused_branch(m, insn, nxt[0].mnemonic, nxt[2],
-                                      next_eip + nxt[1], abi)
-                if fused is not None:
-                    binders.append(fused)
-                    addrs.append(addr)
-                    weights.append(2)
-                    ctl_index = len(binders) - 1
-                    break
-        if m == "int":
-            b = _int(insn, abi, tls_base, addr)
-        else:
-            factory = _DATA_BINDERS.get(m)
-            b = factory(insn, abi, tls_base) if factory else None
-        if b is None:
+        if m in ("cmp", "test") and _fuses(insn, code.get(next_eip)):
+            ctl_index = len(addrs)
+            addrs.append(addr)
+            weights.append(2)
+            break
+        if not _data_ok(insn):
             fallthrough = addr
             break
-        binders.append(b)
         addrs.append(addr)
         weights.append(1)
         addr = next_eip
-        if len(binders) >= MAX_BLOCK_INSNS:
+        if len(addrs) >= MAX_BLOCK_INSNS:
             fallthrough = addr
             break
-    if not binders:
+    if not addrs:
         return None
     cum = []
     total = 0
     for w in weights:
         cum.append(total)
         total += w
-    return BlockTemplate(entry, tuple(binders), tuple(addrs), tuple(cum),
-                         total, ctl_index, fallthrough)
+    return Block(entry, tuple(addrs), tuple(cum), total, ctl_index,
+                 fallthrough)
 
 
 # -- coverage export ---------------------------------------------------------

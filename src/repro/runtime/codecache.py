@@ -2,23 +2,25 @@
 
 Campaigns run the same guest images in hundreds of short-lived
 processes (§6: one injection experiment per run).  Decoding an image's
-text section and translating its hot blocks are pure functions of the
-image bytes, the machine, and the load base — so both are cached once
-per process *tree* and shared:
+text section and translating its blocks are pure functions of the text
+bytes, the machine, the load base and the module's TLS base — so both
+are cached once per process *tree* and shared:
 
-* **decoded streams** key on ``(image digest, machine)`` — the
+* **decoded streams** key on ``(text digest, machine)`` — the
   disassembly is base-independent (addresses are module-relative);
-* **module code** keys on ``(image digest, machine, base)`` — the
-  predecoded entry dict and the lazily compiled
-  :class:`~repro.runtime.blocks.BlockTemplate` objects bake absolute
+* **module code** keys on ``(text digest, machine, base, tls_base)`` —
+  the predecoded entry dict and the lazily compiled
+  :class:`~repro.runtime.traces.Translation` functions bake absolute
   addresses (branch targets, the folded TLS base) in.
 
-Templates contain only pure constants (see ``blocks.py``), so sharing
-them across guest processes and OS threads is safe; each CPU binds its
-own closures.  Mirroring the :class:`~repro.core.store.ProfileStore`
-invalidation pattern, everything keys on the image *digest*: a changed
-library hashes differently and simply misses, while stale entries for
-the old bytes age out of the LRU.
+Keying on the text alone (not the whole image) matters for campaigns:
+every controller synthesizes its shim under a fresh soname and eval
+import, yet the shim's code bytes repeat case after case, so the shim
+decodes and translates once.  Generated functions read all per-process
+state from their ``cpu`` argument, so sharing them across guest
+processes, OS threads and fork children is safe.  A changed library
+hashes differently and simply misses, while stale entries for the old
+bytes age out of the LRU.
 
 Under the fork-based process backend, children inherit whatever the
 parent already decoded and compiled at fork time — warming the cache
@@ -32,10 +34,9 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from ..binfmt import SharedObject, image_digest
+from ..binfmt import SharedObject, text_digest
 from ..isa import Rel, abi_for, decode_range
-from .blocks import BlockTemplate, compile_block
-from .traces import TraceTemplate, build_trace
+from .traces import Translation, translate
 
 __all__ = ["SharedCodeCache", "ModuleCode", "CODE_CACHE"]
 
@@ -43,77 +44,38 @@ _UNSET = object()
 
 
 class ModuleCode:
-    """Decoded instructions plus block/trace templates for one
-    (image, base)."""
+    """Decoded instructions plus translations for one (text, base)."""
 
-    __slots__ = ("entries", "templates", "traces", "_abi", "_tls_base",
-                 "_lock", "_cache")
+    __slots__ = ("entries", "blocks", "_abi", "_tls_base", "_lock",
+                 "_cache")
 
     def __init__(self, entries: Dict[int, Tuple], abi, tls_base: int,
                  cache: "SharedCodeCache") -> None:
         self.entries = entries
-        self.templates: Dict[int, Optional[BlockTemplate]] = {}
-        self.traces: Dict[int, Optional[TraceTemplate]] = {}
+        self.blocks: Dict[int, Optional[Translation]] = {}
         self._abi = abi
         self._tls_base = tls_base
         self._lock = threading.Lock()
         self._cache = cache
 
-    def template(self, addr: int) -> Optional[BlockTemplate]:
-        """The block template entered at ``addr`` (compiling on first
-        request; None is a cached 'not compilable' verdict)."""
-        t = self.templates.get(addr, _UNSET)
+    def block(self, addr: int) -> Optional[Translation]:
+        """The translation entered at ``addr`` (compiling on first
+        request; None is a cached 'no block here' verdict)."""
+        t = self.blocks.get(addr, _UNSET)
         if t is not _UNSET:
             self._cache._count("template_hits")
             return t
         with self._lock:
-            t = self.templates.get(addr, _UNSET)
+            t = self.blocks.get(addr, _UNSET)
             if t is not _UNSET:
                 return t
-            t = compile_block(addr, self.entries, self._abi, self._tls_base)
-            self.templates[addr] = t
+            t = translate(addr, self.entries, self._abi, self._tls_base)
+            self.blocks[addr] = t
         if t is not None:
             self._cache._count("blocks_compiled")
+            if t.linked:
+                self._cache._count("traces_linked")
         return t
-
-    def trace(self, addr: int) -> Optional[TraceTemplate]:
-        """The superblock trace entered at ``addr`` (linking on first
-        request; None is a cached 'not traceable' verdict).  Like block
-        templates, traces are pure constants shared by every CPU in the
-        process tree."""
-        t = self.traces.get(addr, _UNSET)
-        if t is not _UNSET:
-            self._cache._count("trace_hits")
-            return t
-        # built outside the lock: the builder compiles constituent
-        # blocks through self.template, which takes the lock itself
-        t = build_trace(addr, self.entries, self._abi, self._tls_base,
-                        self.template)
-        with self._lock:
-            existing = self.traces.get(addr, _UNSET)
-            if existing is not _UNSET:
-                return existing      # lost a benign race; share theirs
-            self.traces[addr] = t
-        if t is not None:
-            self._cache._count("traces_linked")
-        return t
-
-    def invalidate(self, addr: int) -> None:
-        """Drop the block template at ``addr`` and every trace built on
-        it — a trace holds direct references to its constituent blocks,
-        so block invalidation must cascade."""
-        dropped = 0
-        with self._lock:
-            self.templates.pop(addr, None)
-            for entry in [e for e, t in self.traces.items()
-                          if t is not None and addr in t.block_entries]:
-                del self.traces[entry]
-                dropped += 1
-            # a cached 'not traceable' verdict at the address itself may
-            # now be stale too
-            self.traces.pop(addr, None)
-        if dropped:
-            self._cache._count("trace_invalidations", dropped)
 
 
 class SharedCodeCache:
@@ -123,8 +85,7 @@ class SharedCodeCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._streams: "OrderedDict[Tuple[str, str], tuple]" = OrderedDict()
-        self._modules: "OrderedDict[Tuple[str, str, int], ModuleCode]" = \
-            OrderedDict()
+        self._modules: "OrderedDict[tuple, ModuleCode]" = OrderedDict()
         self._counters: Dict[str, int] = {}
 
     # -- stats -------------------------------------------------------------
@@ -135,16 +96,16 @@ class SharedCodeCache:
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot: decode_hits/decode_misses (stream layer),
-        module_hits/module_misses (per-base layer), blocks_compiled,
-        template_hits (a CPU binding an already compiled template),
-        traces_linked/trace_hits/trace_invalidations (superblock tier),
-        and evictions (LRU drops from either layer)."""
+        module_hits/module_misses (per-base layer), blocks_compiled
+        (block entries translated), traces_linked (those of them that
+        link successor blocks or close a loop), template_hits (a CPU
+        looking up an already translated entry), and evictions (LRU
+        drops from either layer)."""
         with self._lock:
             out = {"decode_hits": 0, "decode_misses": 0,
                    "module_hits": 0, "module_misses": 0,
                    "blocks_compiled": 0, "template_hits": 0,
-                   "traces_linked": 0, "trace_hits": 0,
-                   "trace_invalidations": 0, "evictions": 0}
+                   "traces_linked": 0, "evictions": 0}
             out.update(self._counters)
             return out
 
@@ -158,7 +119,7 @@ class SharedCodeCache:
 
     def decoded(self, image: SharedObject) -> tuple:
         """The module-relative decoded instruction stream of ``image``."""
-        key = (image_digest(image), image.machine)
+        key = (text_digest(image), image.machine)
         with self._lock:
             stream = self._streams.get(key)
             if stream is not None:
@@ -182,9 +143,9 @@ class SharedCodeCache:
 
     def module_code(self, image: SharedObject, base: int,
                     tls_base: int) -> ModuleCode:
-        """Predecoded entries + templates for ``image`` mapped at
+        """Predecoded entries + translations for ``image`` mapped at
         ``base`` (with its TLS block at ``tls_base``)."""
-        key = (image_digest(image), image.machine, base)
+        key = (text_digest(image), image.machine, base, tls_base)
         with self._lock:
             mc = self._modules.get(key)
             if mc is not None:

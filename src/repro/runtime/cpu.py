@@ -12,18 +12,19 @@ Executes predecoded SELF machine code against a :class:`Memory`, with:
 
 Two execution paths share one semantics:
 
-* the **block path** (default) runs basic blocks translated into lists
-  of specialized closures (see :mod:`repro.runtime.blocks`), compiled
-  once per entry address and cached on the CPU;
+* the **translated path** (default) runs generated Python functions, one
+  per block entry with its predicted successors linked in (see
+  :mod:`repro.runtime.traces`), compiled once per ``(code, base)`` and
+  shared by every CPU in the process tree;
 * the **step path** decodes-and-branches one instruction at a time.  It
-  is selected automatically whenever a tracer is attached (so traces
-  stay exact, one hook call per instruction), when the remaining step
-  budget is smaller than the next block, or when an address has no
-  compilable block.
+  is the reference semantics, and it is selected automatically whenever
+  a tracer is attached (so traces stay exact, one hook call per
+  instruction), when the remaining step budget is smaller than the next
+  block, or when an address has no block.
 
 Both paths produce identical register/memory/flag state, identical
-``instructions_executed`` counts and identical faults — the block
-compiler is an optimization, never an observable behavior change.
+``instructions_executed`` counts and identical faults — the translator
+is an optimization, never an observable behavior change.
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ from ..isa import Imm, ImportSlot, Mem, Reg
 from ..isa.instructions import JCC_TAKEN, Instruction
 from ..layout import RETURN_SENTINEL
 from .memory import MASK32, Memory
-
-#: Conditional-branch predicates over (ZF, SF), hoisted to module level —
-#: the interpreter used to build this dict anew on every conditional
-#: jump.  Defined next to the mnemonic table in ``isa.instructions`` so
-#: the block compiler fuses with exactly the same semantics.
-_JCC_TAKEN = JCC_TAKEN
 
 
 def sgn32(value: int) -> int:
@@ -74,11 +69,11 @@ class _RunComplete(Exception):
 class RegisterFile:
     """The ABI registers: a fixed list behind a dict-like name view.
 
-    The block compiler resolves names to indices once and its closures
-    index :attr:`values` directly; host functions, triggers, syscall
-    glue and tests keep the familiar ``regs["eax"]`` access.  The
-    ``values`` list is identity-stable for the CPU's lifetime — compiled
-    closures capture the list object itself.
+    The translator resolves names to indices once and its generated
+    code indexes :attr:`values` directly; host functions, triggers,
+    syscall glue and tests keep the familiar ``regs["eax"]`` access.
+    The ``values`` list is identity-stable for the CPU's lifetime, so
+    the CPU can hand it to generated code as ``cpu.values``.
     """
 
     __slots__ = ("values", "_names", "_index")
@@ -125,42 +120,13 @@ class RegisterFile:
         return f"RegisterFile({inside})"
 
 
-class _BindContext:
-    """Per-CPU state handed to block binders (see ``blocks.py``).
-
-    Binders pull these into closure cells once, so the per-instruction
-    hot path is LOAD_DEREF + a list index instead of repeated attribute
-    chains through cpu/proc/memory.
-    """
-
-    __slots__ = ("cpu", "proc", "values", "mem", "read_u32", "write_u32",
-                 "hosts")
-
-    def __init__(self, cpu: "Cpu") -> None:
-        self.cpu = cpu
-        self.proc = cpu.proc
-        self.values = cpu.regs.values
-        self.mem = cpu.mem
-        self.read_u32 = cpu.mem.read_u32
-        self.write_u32 = cpu.mem.write_u32
-        self.hosts = cpu.proc.host_functions
-
-
 class Cpu:
     """One virtual CPU bound to a process."""
 
-    #: Class-wide default for the block-compiled fast path.  Campaign
+    #: Class-wide default for the translated fast path.  Campaign
     #: workers inherit it across fork/thread boundaries; tests flip it
     #: (or the per-instance attribute) to force the step path.
     use_blocks: bool = True
-
-    #: Class-wide default for the superblock trace tier (see
-    #: :mod:`repro.runtime.traces`); tests flip it to pin execution at
-    #: the block tier for differential comparison.
-    use_traces: bool = True
-
-    #: Block dispatch count that promotes an entry to a trace.
-    trace_threshold: int = 16
 
     def __init__(self, proc) -> None:
         self.proc = proc
@@ -183,9 +149,14 @@ class Cpu:
         #: ``instructions_executed`` so prefix+suffix replays count
         #: exactly what a fresh run counts.
         self.coverage: Optional[Dict[int, int]] = None
-        #: entry address -> bound block (or None for "not compilable")
+        #: entry address -> shared translation (None: single-step there)
         self._blocks: Dict[int, object] = {}
-        self._bindctx = _BindContext(self)
+        # what generated code reads in its prologue (all identity-stable
+        # for the CPU's lifetime)
+        self.values = self.regs.values
+        self.read_u32 = self.mem.read_u32
+        self.write_u32 = self.mem.write_u32
+        self.hosts = proc.host_functions
 
     # -- operand plumbing ---------------------------------------------------
 
@@ -307,7 +278,7 @@ class Cpu:
         sp = self.regs[self.abi.stack_pointer]
         return self.mem.read_i32(sp + 4 + 4 * index)
 
-    # -- execution ----------------------------------------------------------
+    # -- the step path ------------------------------------------------------
 
     def step(self) -> None:
         entry = self.proc.code_cache.get(self.eip)
@@ -323,8 +294,8 @@ class Cpu:
 
     def _execute(self, insn: Instruction, next_eip: int,
                  target: Optional[int]) -> None:
-        """Decode-and-branch one instruction (also the generic fallback
-        for operand shapes the block compiler leaves alone)."""
+        """Decode-and-branch one instruction (the reference semantics,
+        and the fallback for shapes the translator has no template for)."""
         m = insn.mnemonic
         ops = insn.operands
 
@@ -382,8 +353,8 @@ class Cpu:
             if host is not None:
                 self._invoke_host(host)
             return
-        elif m in _JCC_TAKEN:
-            if _JCC_TAKEN[m](self.zf, self.sf):
+        elif m in JCC_TAKEN:
+            if JCC_TAKEN[m](self.zf, self.sf):
                 self.eip = target
                 return
         elif m == "call":
@@ -430,59 +401,7 @@ class Cpu:
         result = self.proc.kernel.dispatch(self.proc, nr, args)
         self.regs[self.abi.return_register] = result & MASK32
 
-    # -- the block fast path -------------------------------------------------
-
-    def _compile_block(self, addr: int):
-        """Bind the shared template at ``addr`` to this CPU (or record
-        that the address has no compilable block)."""
-        template = self.proc.block_template(addr)
-        if template is None:
-            self._blocks[addr] = None
-            return None
-        rt = self._bindctx
-        block = _BoundBlock(template, tuple(b(rt) for b in template.binders))
-        self._blocks[addr] = block
-        return block
-
-    def _run_block(self, block: "_BoundBlock") -> None:
-        """Execute one bound block with exact accounting.
-
-        The step path increments ``instructions_executed`` *before*
-        executing, so a faulting instruction is counted; ``cum[idx]``
-        (guest instructions before closure ``idx``, fused pairs weigh 2)
-        plus one reproduces that here.  Data closures never touch
-        ``eip`` (it is dead until the next transfer), so on a fault it
-        is restored to the faulting instruction's address — the state
-        the step path would be in.  The control closure, always last,
-        manages ``eip`` itself.
-        """
-        idx = 0
-        try:
-            for idx, op in enumerate(block.ops):
-                op()
-        except _RunComplete:
-            self.instructions_executed += block.count
-            raise
-        except Exception:
-            self.instructions_executed += block.cum[idx] + 1
-            if idx != block.ctl_index:
-                self.eip = block.addrs[idx]
-            raise
-        self.instructions_executed += block.count
-        if block.fallthrough is not None:
-            self.eip = block.fallthrough
-
-    def _promote_trace(self, entry: int):
-        """Replace the bound block at ``entry`` with a superblock trace
-        (or return None and leave the block in place — its heat counter
-        has already passed the threshold, so promotion is attempted
-        exactly once per entry)."""
-        template = self.proc.trace_template(entry)
-        if template is None:
-            return None
-        bound = template.bind(self._bindctx)
-        self._blocks[entry] = bound
-        return bound
+    # -- execution ----------------------------------------------------------
 
     def run(self, entry: int, *, max_steps: int = 20_000_000) -> None:
         """Run from ``entry`` until control returns to the sentinel.
@@ -494,9 +413,9 @@ class Cpu:
         """
         self.eip = entry
         budget = max_steps
-        if self.tracer is not None or not self.use_blocks:
-            step = self.step
-            try:
+        step = self.step
+        try:
+            if self.tracer is not None or not self.use_blocks:
                 while True:
                     step()
                     budget -= 1
@@ -504,73 +423,39 @@ class Cpu:
                         raise RuntimeFault(
                             f"step budget exhausted at {self.eip:#x}",
                             eip=self.eip)
-            except _RunComplete:
-                return
-        blocks = self._blocks
-        unset = _UNSET
-        coverage = self.coverage
-        use_traces = self.use_traces
-        threshold = self.trace_threshold
-        try:
+            blocks = self._blocks
+            block_at = self.proc.block_template
+            coverage = self.coverage
             while True:
-                obj = blocks.get(self.eip, unset)
-                if obj is unset:
-                    obj = self._compile_block(self.eip)
-                if obj is None or budget <= obj.count:
+                block = blocks.get(self.eip, _UNSET)
+                if block is _UNSET:
+                    block = blocks[self.eip] = block_at(self.eip)
+                if block is None or budget <= block.count:
                     # no block here, or the budget could expire inside
                     # one: single-step so the fault lands on the exact
                     # instruction the step path would report
-                    self.step()
+                    step()
                     budget -= 1
                     if budget <= 0:
                         raise RuntimeFault(
                             f"step budget exhausted at {self.eip:#x}",
                             eip=self.eip)
                     continue
-                if obj.is_trace:
-                    # guards inside the trace re-check the budget per
+                try:
+                    # guards inside re-check the budget per linked
                     # block, so the remaining budget stays positive
-                    budget -= obj.execute(self, budget, coverage)
-                    continue
-                if use_traces:
-                    heat = obj.heat + 1
-                    obj.heat = heat
-                    if heat == threshold:
-                        promoted = self._promote_trace(obj.entry)
-                        if promoted is not None:
-                            budget -= promoted.execute(self, budget, coverage)
-                            continue
-                if coverage is not None:
-                    addr = self.eip
-                    coverage[addr] = coverage.get(addr, 0) + 1
-                self._run_block(obj)
-                budget -= obj.count
+                    done = block.fn(self, budget, coverage)
+                except Exception as exc:
+                    block.account(self, exc)
+                    raise
+                self.instructions_executed += done
+                budget -= done
         except _RunComplete:
             return
 
 
-class _BoundBlock:
-    """A block template bound to one CPU: closures plus accounting."""
-
-    __slots__ = ("ops", "count", "cum", "addrs", "ctl_index", "fallthrough",
-                 "entry", "heat")
-
-    #: duck-typed discriminator shared with ``traces.BoundTrace``
-    is_trace = False
-
-    def __init__(self, template, ops) -> None:
-        self.ops = ops
-        self.count = template.count
-        self.cum = template.cum
-        self.addrs = template.addrs
-        self.ctl_index = template.ctl_index
-        self.fallthrough = template.fallthrough
-        self.entry = template.entry
-        self.heat = 0
-
-
 class _Unset:
-    """Sentinel distinguishing 'never compiled' from 'not compilable'."""
+    """Sentinel distinguishing 'never looked up' from 'no block'."""
 
     __slots__ = ()
 

@@ -144,16 +144,16 @@ class Process:
         return self.load(image, front=True)
 
     def _predecode(self, module: LoadedModule) -> None:
-        # decoding and block translation are shared across processes —
-        # identical images at the same base reuse one ModuleCode
+        # decoding and translation are shared across processes —
+        # identical code at the same base reuses one ModuleCode
         mc = CODE_CACHE.module_code(module.image, module.base,
                                     module.tls_base)
         self.code_cache.update(mc.entries)
         self._module_code[module.base] = mc
 
     def block_template(self, addr: int):
-        """The shared compiled-block template entered at ``addr`` (None
-        when the address has no module or no compilable block)."""
+        """The shared translation entered at ``addr`` (None when the
+        address has no module or no block)."""
         if addr < FIRST_MODULE_BASE:
             return None
         base = FIRST_MODULE_BASE + (
@@ -161,19 +161,7 @@ class Process:
         mc = self._module_code.get(base)
         if mc is None:
             return None
-        return mc.template(addr)
-
-    def trace_template(self, addr: int):
-        """The shared superblock trace entered at ``addr`` (None when
-        the address has no module or no traceable block)."""
-        if addr < FIRST_MODULE_BASE:
-            return None
-        base = FIRST_MODULE_BASE + (
-            (addr - FIRST_MODULE_BASE) // MODULE_SPACING) * MODULE_SPACING
-        mc = self._module_code.get(base)
-        if mc is None:
-            return None
-        return mc.trace(addr)
+        return mc.block(addr)
 
     # -- symbols ----------------------------------------------------------
 

@@ -16,10 +16,11 @@ prefix point and rewinds it in **O(dirty state)**:
   tables, the scratch arena and host-function bindings roll back to the
   checkpoint.
 
-Identity stability is the load-bearing invariant: compiled basic-block
-closures capture the register ``values`` list, the ``Memory`` object
-and the ``host_functions`` dict *by identity* (see ``cpu._BindContext``),
-so restore mutates those objects in place and never replaces them.
+Identity stability is the load-bearing invariant: the CPU hands the
+register ``values`` list, the ``Memory`` accessors and the
+``host_functions`` dict to generated code *by identity* (``cpu.values``,
+``cpu.read_u32``/``write_u32``, ``cpu.hosts``), so restore mutates those
+objects in place and never replaces them.
 
 :class:`SnapshotCache` pools live checkpoint instances per worker
 process, keyed by ``(image digest, workload id, prefix point)``; the
@@ -146,18 +147,18 @@ class MachineSnapshot:
         proc = ps.proc
         cpu = proc.cpu
         # registers/flags/control flow — values list mutated in place;
-        # compiled block closures hold the list object itself
+        # the CPU hands the list object itself to generated code
         cpu.regs.values[:] = ps.regs
         cpu.zf, cpu.sf, cpu.eip = ps.zf, ps.sf, ps.eip
         cpu.shadow[:] = [ShadowFrame(ret, callee)
                          for ret, callee in ps.shadow]
         cpu.instructions_executed = ps.instructions
-        # coverage is hoisted per run() call, never captured by block
-        # closures, so swapping the dict object is identity-safe
+        # coverage is hoisted per run() call, never held by generated
+        # code, so swapping the dict object is identity-safe
         cpu.coverage = None if ps.coverage is None else dict(ps.coverage)
         # loader state — modules loaded after the snapshot unmap (their
         # regions vanished with the memory restore), so drop their
-        # decoded code and compiled blocks too
+        # decoded code and translations too
         if len(proc.modules) > ps.modules_len:
             del proc.modules[ps.modules_len:]
             keep = {m.base for m in proc.modules}
@@ -168,7 +169,7 @@ class MachineSnapshot:
             for mc in proc._module_code.values():
                 proc.code_cache.update(mc.entries)
             cpu._blocks.clear()
-        # host bindings — the dict object is captured by block closures
+        # host bindings — the CPU hands the dict object to generated code
         proc.host_functions.clear()
         proc.host_functions.update(ps.host_functions)
         proc._next_host_addr = ps.next_host_addr

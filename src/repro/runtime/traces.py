@@ -1,58 +1,60 @@
-"""Superblock trace compiler (the second translation tier).
+"""The guest-code translator: blocks to generated Python functions.
 
-The block compiler (``blocks.py``) removes per-instruction dispatch but
-still bounces through ``Cpu.run()``'s dict lookup between basic blocks,
-and pays one Python call per instruction closure.  This module compiles
-*superblocks*: once a block's dispatch count crosses
-:data:`TRACE_THRESHOLD`, the block is linked with its statically
-predicted hot successors into a single generated Python function — data
-ops inlined as source lines, loop back-edges closed into a native
-``while`` loop — so a hot guest loop runs without leaving one Python
-frame.
+Every block entry (see :func:`~repro.runtime.blocks.scan_block` for
+where blocks start and end) compiles once per ``(code, base)`` into one
+plain function ``fn(cpu, budget, cov)``.  The function links the entry
+block with its statically predicted successors — conditional branches
+predict backward-taken / forward-not-taken (the classic loop heuristic),
+fallthroughs and direct intra-module jumps follow, and calls, returns,
+indirect jumps and host transfers end the chain.  Instructions are
+inlined as source lines and a chain that returns to its own entry closes
+into a native ``while`` loop, so a hot guest loop runs without leaving
+one Python frame.
 
-Exactness is the contract, inherited from ``cpu._run_block``:
+The generated code closes over nothing: its prologue reads the register
+list, the memory accessors, the host table and (where used)
+``plt_resolve`` and ``kernel.dispatch`` from the ``cpu`` argument.  One
+function therefore serves every CPU in every process, thread and fork
+child that maps the same code at the same base (see
+:class:`~repro.runtime.codecache.SharedCodeCache`).
 
-* every generated line maps back to ``(cum, addr, is_ctl, block_count)``
-  accounting metadata; on a mid-trace fault the runner recovers the
-  faulting instruction from the traceback's line number and the
-  iteration count from the frame's ``consumed`` local, then restores
-  ``eip``/``instructions_executed`` to exactly the state the block (and
-  step) path would report;
-* operand shapes without a hand-written source template fall back to
-  calling the block tier's own bound closure for that instruction, so a
-  trace can never change semantics — only remove interpreter overhead;
-* per-block budget guards replicate ``run()``'s "never enter a block the
-  step budget couldn't finish" rule, and the optional coverage variant
-  bumps per-block dispatch counts exactly where ``run()`` would.
+Exactness is the contract; the step interpreter (``Cpu._execute``) is
+the reference:
 
-Trace *selection* is static and profile-seeded: conditional branches
-predict backward-taken / forward-not-taken (the classic loop
-heuristic), unconditional direct jumps follow, and calls, returns,
-indirect jumps and host transfers terminate the trace.  Templates are
-pure constants + binder references, shared cross-process through
-:class:`~repro.runtime.codecache.SharedCodeCache` exactly like block
-templates.
+* the CPU never enters a function whose first block the remaining step
+  budget could not finish, and per-block guards inside the function
+  replicate that rule at every linked seam — the CPU then single-steps,
+  so a budget fault lands on the exact instruction the step path
+  reports;
+* every generated line that can raise maps to accounting metadata; on an
+  exception :meth:`Translation.account` recovers the faulting
+  instruction from the traceback's line number and the completed loop
+  iterations from the frame's ``consumed`` local, then sets ``eip`` and
+  ``instructions_executed`` exactly as the step path leaves them;
+* operand evaluation order follows the step path, which decides the
+  state a faulting access leaves behind;
+* shapes without a source template run ``cpu._execute`` for that one
+  instruction;
+* coverage counts every constituent block's dispatch exactly where the
+  CPU's dispatcher would.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..errors import IllegalInstruction
 from ..isa import Imm, Mem, Reg
 from ..isa.instructions import JCC_TAKEN
-from ..layout import HOST_REGION_BASE
-from .blocks import BlockTemplate
+from ..layout import HOST_REGION_BASE, RETURN_SENTINEL
+from .blocks import Block, scan_block
+from .cpu import ShadowFrame, _RunComplete
 from .memory import MASK32
 
-__all__ = ["TraceTemplate", "BoundTrace", "build_trace", "TRACE_THRESHOLD",
-           "MAX_TRACE_BLOCKS"]
+__all__ = ["Translation", "translate", "MAX_LINKED_BLOCKS"]
 
-#: Block dispatch count that promotes an entry to the trace tier.
-TRACE_THRESHOLD = 16
-
-#: Upper bound on blocks linked into one superblock.
-MAX_TRACE_BLOCKS = 8
+#: Upper bound on blocks linked into one function.
+MAX_LINKED_BLOCKS = 8
 
 _M = MASK32
 _SIGN = 0x80000000
@@ -70,507 +72,459 @@ _JCC_SRC = {
     "jg": "not {s} and not {z}",
 }
 
-_ARITH_OPS = {"add": "+", "sub": "-", "and": "&", "or": "|", "xor": "^"}
+#: Result source per two-operand arithmetic mnemonic over raw u32
+#: operand sources {a}/{b}; flags derive from the masked result, as in
+#: the step path's write-then-``sgn32`` sequence.
+_ARITH_SRC = {
+    "add": "({a} + {b}) & " + str(_M),
+    "sub": "({a} - {b}) & " + str(_M),
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": "({a} << ({b} & 31)) & " + str(_M),
+    "shr": "{a} >> ({b} & 31)",
+    # the low 32 bits of a product do not depend on the operands' signs
+    "imul": "({a} * {b}) & " + str(_M),
+}
+
+#: Names the generated code may use, and the prologue line binding each.
+_PROLOGUE = {
+    "v": "v = cpu.values",
+    "read": "read = cpu.read_u32",
+    "write": "write = cpu.write_u32",
+    "hosts": "hosts = cpu.hosts",
+    "resolve": "resolve = cpu.proc.plt_resolve",
+    "proc": "proc = cpu.proc",
+    "dispatch": "dispatch = cpu.proc.kernel.dispatch",
+}
+
+#: Globals shared by every generated function.
+_GLOBALS = {"Frame": ShadowFrame, "RunComplete": _RunComplete,
+            "IllegalInstruction": IllegalInstruction}
 
 
-# -- source emission for inlinable operand shapes ----------------------------
+class Translation:
+    """One block entry compiled to a function shared by every CPU."""
 
+    __slots__ = ("count", "fn", "linemap", "linked")
 
-def _ea_src(op: Mem, abi, tls_base: int) -> str:
-    """Source of a memory operand's effective address (mirrors
-    ``blocks._ea`` including the folded TLS displacement)."""
-    disp = op.disp
-    if op.segment == "gs":
-        disp += tls_base
-    base_i = abi.reg_id(op.base) if op.base else None
-    index_i = abi.reg_id(op.index) if op.index else None
-    if base_i is None and index_i is None:
-        return repr(disp & _M)
-    if index_i is None:
-        return f"(v[{base_i}] + {disp}) & {_M}"
-    return f"(v[{base_i}] + v[{index_i}] * {op.scale} + {disp}) & {_M}"
+    def __init__(self, count: int, fn, linemap, linked: bool) -> None:
+        self.count = count      # first block's instructions: budget unit
+        self.fn = fn            # fn(cpu, budget, cov) -> instructions run
+        self.linemap = linemap  # line -> (before, eip_on_fault, through)
+        self.linked = linked    # more than one block, or a closed loop
 
+    def account(self, cpu, exc: BaseException) -> None:
+        """Exact accounting for an exception leaving :attr:`fn`.
 
-def _read_src(op, abi, tls_base: int) -> Optional[str]:
-    """Source of an unsigned operand read (mirrors ``blocks._read_u``)."""
-    if isinstance(op, Reg):
-        return f"v[{abi.reg_id(op.name)}]"
-    if isinstance(op, Imm):
-        return repr(op.value & _M)
-    if isinstance(op, Mem):
-        return f"read({_ea_src(op, abi, tls_base)})"
-    return None
-
-
-def _flags_src(r: str) -> str:
-    return f"cpu.zf = {r} == 0; cpu.sf = {r} >= {_SIGN}"
-
-
-def _data_src(insn, abi, tls_base: int, addr: int) -> Optional[str]:
-    """One-line source for a data instruction, or None to fall back to
-    the instruction's bound block closure.  Every template mirrors the
-    corresponding ``blocks.py`` binder statement for statement —
-    including operand evaluation order, which decides the machine state
-    a faulting access leaves behind."""
-    m = insn.mnemonic
-    ops = insn.operands
-    if m == "nop":
-        return "pass"
-    if m == "mov":
-        dst, src = ops
-        if isinstance(dst, Reg):
-            di = abi.reg_id(dst.name)
-            rhs = _read_src(src, abi, tls_base)
-            return None if rhs is None else f"v[{di}] = {rhs}"
-        if isinstance(dst, Mem):
-            ea = _ea_src(dst, abi, tls_base)
-            rhs = _read_src(src, abi, tls_base)
-            return None if rhs is None else f"write({ea}, {rhs})"
-        return None
-    if m == "lea":
-        dst, src = ops
-        if isinstance(dst, Reg) and isinstance(src, Mem):
-            return f"v[{abi.reg_id(dst.name)}] = {_ea_src(src, abi, tls_base)}"
-        return None
-    if m in _ARITH_OPS:
-        sym = _ARITH_OPS[m]
-        dst, src = ops
-        if isinstance(dst, Reg):
-            di = abi.reg_id(dst.name)
-            rhs = _read_src(src, abi, tls_base)
-            if rhs is None:
-                return None
-            return (f"_r = (v[{di}] {sym} {rhs}) & {_M}; v[{di}] = _r; "
-                    + _flags_src("_r"))
-        if isinstance(dst, Mem):
-            ea = _ea_src(dst, abi, tls_base)
-            rhs = _read_src(src, abi, tls_base)
-            if rhs is None:
-                return None
-            # dst read before src read matches the closure's
-            # fn(read(addr), b()) argument order
-            return (f"_a = {ea}; _r = (read(_a) {sym} {rhs}) & {_M}; "
-                    f"write(_a, _r); " + _flags_src("_r"))
-        return None
-    if m in ("inc", "dec"):
-        (dst,) = ops
-        sym = "+" if m == "inc" else "-"
-        if isinstance(dst, Reg):
-            di = abi.reg_id(dst.name)
-            return (f"_r = (v[{di}] {sym} 1) & {_M}; v[{di}] = _r; "
-                    + _flags_src("_r"))
-        return None
-    if m == "push":
-        (src,) = ops
-        spi = abi.reg_id(abi.stack_pointer)
-        if isinstance(src, (Reg, Imm)):
-            rhs = _read_src(src, abi, tls_base)
-            return (f"_sp = (v[{spi}] - 4) & {_M}; v[{spi}] = _sp; "
-                    f"write(_sp, {rhs})")
-        return None
-    if m == "pop":
-        (dst,) = ops
-        spi = abi.reg_id(abi.stack_pointer)
-        if isinstance(dst, Reg):
-            di = abi.reg_id(dst.name)
-            # value lands after the bump: pop-into-sp wins, like the
-            # block closure
-            return (f"_sp = v[{spi}]; _val = read(_sp); "
-                    f"v[{spi}] = (_sp + 4) & {_M}; v[{di}] = _val")
-        return None
-    if m == "leave":
-        spi = abi.reg_id(abi.stack_pointer)
-        fpi = abi.reg_id(abi.frame_pointer)
-        return (f"_sp = v[{fpi}]; v[{spi}] = _sp; _val = read(_sp); "
-                f"v[{spi}] = (_sp + 4) & {_M}; v[{fpi}] = _val")
-    if m == "int":
-        (vec,) = ops
-        if not isinstance(vec, Imm) or (vec.value & _M) != 0x80:
-            return None
-        nr_i = abi.reg_id(abi.syscall_number_register)
-        args = ", ".join(f"v[{abi.reg_id(r)}]"
-                         for r in abi.syscall_arg_registers)
-        ret_i = abi.reg_id(abi.return_register)
-        # eip parks on the int instruction like the step path; handlers
-        # (and a propagating ProcessExit) inspect it
-        return (f"cpu.eip = {addr}; v[{ret_i}] = "
-                f"dispatch(proc, v[{nr_i}], [{args}]) & {_M}")
-    return None
-
-
-def _signed_src(src: str, temp: str, out: List[str]) -> str:
-    """Emit a prefix assignment converting ``src`` to a signed value in
-    ``temp`` (folding immediates at compile time)."""
-    try:
-        const = int(src)
-    except ValueError:
-        out.append(f"{temp} = {src}")
-        return (f"(({temp} - {_WRAP}) if {temp} >= {_SIGN} else {temp})")
-    return repr(const - _WRAP if const >= _SIGN else const)
-
-
-def _fused_src(insn, jcc_m: str, taken: int, not_taken: int,
-               abi) -> Optional[str]:
-    """Source for a fused ``cmp/test + jcc`` pair (mirrors
-    ``blocks._fused_branch``; only non-faulting shapes fuse, so the
-    whole line is exception-free)."""
-    pred = _JCC_SRC.get(jcc_m)
-    if pred is None:
-        return None
-    a_op, b_op = insn.operands
-    if isinstance(a_op, Mem) or isinstance(b_op, Mem):
-        return None
-    parts: List[str] = []
-    if insn.mnemonic == "cmp":
-        if isinstance(a_op, Reg) and isinstance(b_op, Imm):
-            ai = abi.reg_id(a_op.name)
-            parts.append(f"_a = v[{ai}]")
-            diff = (f"(((_a - {_WRAP}) if _a >= {_SIGN} else _a) "
-                    f"- {b_op.value})")
-        else:
-            a = _signed_src(_read_src(a_op, abi, 0), "_a", parts)
-            b = _signed_src(_read_src(b_op, abi, 0), "_b", parts)
-            diff = f"({a} - {b})"
-        parts.append(f"_d = {diff}; _z = _d == 0; _s = _d < 0")
-    else:
-        a = _read_src(a_op, abi, 0)
-        b = _read_src(b_op, abi, 0)
-        parts.append(f"_r = {a} & {b}; _z = _r == 0; _s = _r >= {_SIGN}")
-    cond = pred.format(z="_z", s="_s")
-    parts.append("cpu.zf = _z; cpu.sf = _s")
-    parts.append(f"cpu.eip = {taken} if {cond} else {not_taken}")
-    return "; ".join(parts)
-
-
-# -- trace selection ---------------------------------------------------------
-
-
-def _control_info(bt: BlockTemplate, entries: Dict[int, Tuple]):
-    """Classify a block's ending transfer.
-
-    Returns ``(kind, data)`` where kind is one of:
-
-    * ``"fall"``   — no control op; data = fallthrough address
-    * ``"jmp"``    — unconditional direct jump; data = destination
-    * ``"cond"``   — conditional (plain or fused); data =
-      ``(src_line, taken, not_taken)``
-    * ``"stop"``   — call / ret / hlt / indirect / host-probing jump;
-      trace ends after this block (executed via its bound closure)
-    """
-    if bt.ctl_index < 0:
-        return "fall", bt.fallthrough
-    ctl_addr = bt.addrs[bt.ctl_index]
-    insn, size, target = entries[ctl_addr]
-    m = insn.mnemonic
-    if m in ("cmp", "test"):
-        # a cmp/test in control position is a fused pair; the jcc is
-        # the next decoded instruction
-        jcc = entries.get(ctl_addr + size)
-        if jcc is None:
-            return "stop", None
-        jinsn, jsize, jtarget = jcc
-        if jtarget is None:                    # pragma: no cover - defensive
-            return "stop", None
-        return "cond", (insn, jinsn.mnemonic, jtarget, ctl_addr + size + jsize)
-    if m == "jmp":
-        if target is not None and target < HOST_REGION_BASE:
-            return "jmp", target
-        return "stop", None
-    if m in JCC_TAKEN:
-        if target is None:
-            return "stop", None
-        return "cond", (None, m, target, ctl_addr + size)
-    return "stop", None
-
-
-def _predict(taken: int, not_taken: int, branch_addr: int) -> int:
-    """Static branch prediction: backward taken (loops), forward not."""
-    return taken if taken <= branch_addr else not_taken
-
-
-class TraceTemplate:
-    """One compiled superblock, shareable across processes.
-
-    Holds the constituent :class:`BlockTemplate` chain plus the
-    generated source per variant (with/without coverage); code objects
-    compile lazily on first bind and are cached (a racing double
-    compile is benign — both results are equivalent).
-    """
-
-    __slots__ = ("entry", "blocks", "nexts", "looping", "count",
-                 "block_entries", "_sources", "_compiled")
-
-    def __init__(self, entry: int, blocks: Tuple[BlockTemplate, ...],
-                 nexts: Tuple[Optional[int], ...], looping: bool,
-                 sources) -> None:
-        self.entry = entry
-        self.blocks = blocks
-        self.nexts = nexts
-        self.looping = looping
-        self.count = blocks[0].count       # run()'s budget-guard unit
-        self.block_entries = tuple(bt.entry for bt in blocks)
-        self._sources = sources            # variant -> (source, linemap)
-        self._compiled: Dict[bool, Tuple[Callable, Dict]] = {}
-
-    def factory(self, with_coverage: bool):
-        """The compiled ``_factory(rt, fb)`` plus its line map."""
-        cached = self._compiled.get(with_coverage)
-        if cached is not None:
-            return cached
-        source, linemap = self._sources[with_coverage]
-        namespace: Dict[str, object] = {}
-        code = compile(source, f"<trace:{self.entry:#x}"
-                               f"{':cov' if with_coverage else ''}>", "exec")
-        exec(code, namespace)
-        cached = (namespace["_factory"], linemap)
-        self._compiled[with_coverage] = cached
-        return cached
-
-    def bind(self, rt) -> "BoundTrace":
-        """Bind to one CPU's context (fallback closures bind eagerly;
-        the generated function compiles lazily per coverage variant)."""
-        fallbacks = tuple(tuple(b(rt) for b in bt.binders)
-                          for bt in self.blocks)
-        return BoundTrace(self, rt, fallbacks)
-
-
-class BoundTrace:
-    """A trace template bound to one CPU."""
-
-    __slots__ = ("template", "count", "entry", "_rt", "_fb",
-                 "_fn_plain", "_map_plain", "_fn_cov", "_map_cov")
-
-    #: duck-typed discriminator shared with ``cpu._BoundBlock``
-    is_trace = True
-
-    def __init__(self, template: TraceTemplate, rt, fallbacks) -> None:
-        self.template = template
-        self.count = template.count
-        self.entry = template.entry
-        self._rt = rt
-        self._fb = fallbacks
-        self._fn_plain = None
-        self._map_plain = None
-        self._fn_cov = None
-        self._map_cov = None
-
-    def execute(self, cpu, budget: int, coverage) -> int:
-        """Run the trace with at most ``budget`` guest instructions.
-
-        Returns the instructions consumed (also added to
-        ``cpu.instructions_executed``); exits with ``cpu.eip`` at the
-        next dispatch point.  Fault accounting matches
-        ``cpu._run_block`` exactly (see :meth:`_account`).
+        The faulting line identifies the instruction (``before``
+        instructions of the current iteration ran ahead of it); the
+        frame's ``consumed`` local counts completed loop iterations.
+        A ``_RunComplete`` counts through the end of the current block.
+        Any other exception counts the faulting instruction itself and,
+        where the step path would hold it there, parks ``eip`` on it.
         """
-        if coverage is None:
-            fn = self._fn_plain
-            if fn is None:
-                factory, linemap = self.template.factory(False)
-                fn = self._fn_plain = factory(self._rt, self._fb)
-                self._map_plain = linemap
-            linemap = self._map_plain
-        else:
-            fn = self._fn_cov
-            if fn is None:
-                factory, linemap = self.template.factory(True)
-                fn = self._fn_cov = factory(self._rt, self._fb)
-                self._map_cov = linemap
-            linemap = self._map_cov
-        try:
-            consumed = fn(budget, coverage)
-        except Exception as exc:
-            self._account(cpu, fn, linemap, exc)
-            raise
-        cpu.instructions_executed += consumed
-        return consumed
-
-    def _account(self, cpu, fn, linemap, exc) -> None:
-        """Exact fault accounting via the traceback.
-
-        The faulting *line* identifies the static position (its
-        ``(cum, addr, is_ctl, block_count)`` metadata); the frame's
-        ``consumed`` local counts the completed blocks of prior
-        iterations.  Mirrors ``_run_block``: a ``_RunComplete`` counts
-        the whole current block, any other exception counts the
-        faulting instruction itself and — for data ops — parks ``eip``
-        on it.
-        """
-        from .cpu import _RunComplete
-        code = fn.__code__
+        code = self.fn.__code__
         tb = exc.__traceback__
         while tb is not None and tb.tb_frame.f_code is not code:
             tb = tb.tb_next
         if tb is None:                         # pragma: no cover - defensive
             return
         consumed = tb.tb_frame.f_locals.get("consumed", 0)
-        meta = linemap.get(tb.tb_lineno)
+        meta = self.linemap.get(tb.tb_lineno)
         if meta is None:                       # pragma: no cover - defensive
             cpu.instructions_executed += consumed
             return
-        cum, addr, is_ctl, block_count = meta
+        before, eip, through = meta
         if isinstance(exc, _RunComplete):
-            cpu.instructions_executed += consumed + block_count
+            cpu.instructions_executed += consumed + through
             return
-        cpu.instructions_executed += consumed + cum + 1
-        if not is_ctl:
-            cpu.eip = addr
+        cpu.instructions_executed += consumed + before + 1
+        if eip is not None:
+            cpu.eip = eip
 
 
-# -- the trace builder -------------------------------------------------------
+# -- source templates ----------------------------------------------------------
 
 
-def build_trace(entry: int, entries: Dict[int, Tuple], abi, tls_base: int,
-                template_of: Callable[[int], Optional[BlockTemplate]],
-                ) -> Optional[TraceTemplate]:
-    """Select and compile the superblock starting at ``entry``.
+class _Source:
+    """Generated lines, their accounting metadata, and used names."""
 
-    ``template_of`` supplies (and lazily compiles) constituent block
-    templates; returns None when the entry has no compilable block.
+    def __init__(self, abi, tls_base: int) -> None:
+        self.abi = abi
+        self.tls_base = tls_base
+        self.lines: List[Tuple[str, Optional[Tuple]]] = []
+        self.uses = set()
+        self.consts: Dict[str, object] = {}
+        self.indent = ""
+
+    def emit(self, text: str, meta: Optional[Tuple] = None) -> None:
+        self.lines.append((self.indent + text, meta))
+
+    def reg(self, name: str) -> str:
+        self.uses.add("v")
+        return f"v[{self.abi.reg_id(name)}]"
+
+    def ea(self, op: Mem) -> str:
+        """A memory operand's effective address; a ``gs:`` reference
+        folds the module's TLS base (fixed by the cache key) in."""
+        disp = op.disp
+        if op.segment == "gs":
+            disp += self.tls_base
+        parts = []
+        if op.base:
+            parts.append(self.reg(op.base))
+        if op.index:
+            parts.append(f"{self.reg(op.index)} * {op.scale}")
+        if not parts:
+            return repr(disp & _M)
+        return f"({' + '.join(parts)} + {disp}) & {_M}"
+
+    def read(self, op) -> str:
+        """An unsigned operand read."""
+        if isinstance(op, Reg):
+            return self.reg(op.name)
+        if isinstance(op, Imm):
+            return repr(op.value & _M)
+        self.uses.add("read")
+        return f"read({self.ea(op)})"
+
+    def signed(self, op, temp: str, out: List[str]) -> str:
+        """A signed operand value; non-constant reads land in ``temp``
+        first (in operand order)."""
+        if isinstance(op, Imm):
+            return repr(op.value)
+        out.append(f"{temp} = {self.read(op)}")
+        return f"({temp} - {_WRAP} if {temp} >= {_SIGN} else {temp})"
+
+    def flags(self, r: str) -> str:
+        return f"cpu.zf = {r} == 0; cpu.sf = {r} >= {_SIGN}"
+
+    def sp(self) -> str:
+        return self.reg(self.abi.stack_pointer)
+
+    def use(self, *names: str) -> None:
+        self.uses.update(names)
+
+
+def _data_lines(src: _Source, insn) -> Optional[List[str]]:
+    """Source statements for one data instruction, or None when the
+    shape has no template (the instruction then runs ``_execute``)."""
+    m = insn.mnemonic
+    ops = insn.operands
+    if m == "nop":
+        return []
+    if m == "mov":
+        dst, s = ops
+        if isinstance(dst, Reg):
+            return [f"{src.reg(dst.name)} = {src.read(s)}"]
+        src.use("write")
+        # the source read happens before the store, as in the step path
+        return [f"write({src.ea(dst)}, {src.read(s)})"]
+    if m == "lea":
+        return [f"{src.reg(ops[0].name)} = {src.ea(ops[1])}"]
+    if m in _ARITH_SRC:
+        dst, s = ops
+        # the destination is read before the source, as in the step path
+        if isinstance(dst, Reg):
+            d = src.reg(dst.name)
+            expr = _ARITH_SRC[m].format(a=d, b=src.read(s))
+            return [f"_r = {expr}", f"{d} = _r", src.flags("_r")]
+        src.use("read", "write")
+        expr = _ARITH_SRC[m].format(a="read(_a)", b=src.read(s))
+        return [f"_a = {src.ea(dst)}", f"_r = {expr}", "write(_a, _r)",
+                src.flags("_r")]
+    if m in ("inc", "dec", "neg", "not") and isinstance(ops[0], Reg):
+        d = src.reg(ops[0].name)
+        if m == "not":
+            return [f"{d} = ~{d} & {_M}"]
+        expr = {"inc": f"({d} + 1) & {_M}", "dec": f"({d} - 1) & {_M}",
+                "neg": f"-{d} & {_M}"}[m]
+        return [f"_r = {expr}", f"{d} = _r", src.flags("_r")]
+    if m == "cmp":
+        pre: List[str] = []
+        a = src.signed(ops[0], "_x", pre)
+        b = src.signed(ops[1], "_y", pre)
+        return pre + [f"_d = {a} - {b}",
+                      "cpu.zf = _d == 0; cpu.sf = _d < 0"]
+    if m == "test":
+        return [f"_r = {src.read(ops[0])} & {src.read(ops[1])}",
+                src.flags("_r")]
+    if m == "push":
+        src.use("write")
+        (s,) = ops
+        sp = src.sp()
+        if isinstance(s, Imm) or (isinstance(s, Reg)
+                                  and s.name != src.abi.stack_pointer):
+            val = src.read(s)
+            return [f"_sp = ({sp} - 4) & {_M}", f"{sp} = _sp",
+                    f"write(_sp, {val})"]
+        # the value is read before the stack pointer moves
+        return [f"_val = {src.read(s)}", f"_sp = ({sp} - 4) & {_M}",
+                f"{sp} = _sp", "write(_sp, _val)"]
+    if m == "pop" and isinstance(ops[0], Reg):
+        src.use("read")
+        sp = src.sp()
+        # the value lands after the bump: pop-into-sp wins
+        return [f"_sp = {sp}", "_val = read(_sp)",
+                f"{sp} = (_sp + 4) & {_M}", f"{src.reg(ops[0].name)} = _val"]
+    if m == "leave":
+        src.use("read")
+        sp = src.sp()
+        fp = src.reg(src.abi.frame_pointer)
+        return [f"_sp = {fp}", f"{sp} = _sp", "_val = read(_sp)",
+                f"{sp} = (_sp + 4) & {_M}", f"{fp} = _val"]
+    if m == "int":
+        src.use("proc", "dispatch")
+        abi = src.abi
+        args = ", ".join(src.reg(r) for r in abi.syscall_arg_registers)
+        return [f"{src.reg(abi.return_register)} = dispatch(proc, "
+                f"{src.reg(abi.syscall_number_register)}, [{args}]) & {_M}"]
+    return None
+
+
+def _emit_data(src: _Source, addr: int, entry: Tuple, meta: Tuple) -> None:
+    insn, size, target = entry
+    lines = _data_lines(src, insn)
+    if insn.mnemonic == "int":
+        # handlers may inspect eip (and ProcessExit propagates with
+        # it), so park it on the int instruction like the step path
+        lines = [f"cpu.eip = {addr}"] + lines
+    elif lines is None:
+        name = f"_i{addr:x}"
+        src.consts[name] = insn
+        lines = [f"cpu.eip = {addr}",
+                 f"cpu._execute({name}, {addr + size}, {target})"]
+    for line in lines:
+        src.emit(line, meta)
+
+
+def _push_return(src: _Source, next_eip: int, meta: Tuple) -> None:
+    """The call's push of its return address (eip already advanced, as
+    in the step path, so a faulting push reports ``next_eip``)."""
+    src.use("write")
+    sp = src.sp()
+    src.emit(f"_sp = ({sp} - 4) & {_M}; {sp} = _sp; "
+             f"write(_sp, {next_eip})", meta)
+
+
+def _emit_stop(src: _Source, addr: int, entry: Tuple, before: int,
+               through: int) -> None:
+    """A chain-ending transfer: call, ret, hlt or an indirect/host jmp."""
+    insn, size, target = entry
+    m = insn.mnemonic
+    next_eip = addr + size
+    at_insn = (before, addr, through)
+    after_advance = (before, next_eip, through)
+    in_host = (before, None, through)
+    if m == "ret":
+        src.use("read")
+        sp = src.sp()
+        src.emit(f"_sp = {sp}; _r = read(_sp); {sp} = (_sp + 4) & {_M}",
+                 at_insn)
+        src.emit("if cpu.shadow: cpu.shadow.pop()")
+        src.emit(f"if _r == {RETURN_SENTINEL}: cpu.eip = {addr}; "
+                 f"raise RunComplete", in_host)
+        src.emit("cpu.eip = _r")
+        return
+    if m == "hlt":
+        src.emit(f"raise IllegalInstruction('hlt executed', eip={addr})",
+                 at_insn)
+        return
+    op0 = insn.operands[0]
+    dest = "_d"
+    if target is not None:
+        dest = str(target)
+    elif isinstance(op0, Reg):
+        src.emit(f"_d = {src.reg(op0.name)}")
+    else:
+        # resolved per transfer: a front-spliced shim flushes the PLT
+        # cache and must win even in already translated code
+        src.use("resolve")
+        src.emit(f"_d = resolve({addr}, {op0.slot})", at_insn)
+    if m == "call":
+        _push_return(src, next_eip, after_advance)
+        src.emit(f"cpu.shadow.append(Frame({next_eip}, {dest}))")
+        if target is not None and target < HOST_REGION_BASE:
+            # direct intra-module calls can never land on a host
+            src.emit(f"cpu.eip = {dest}")
+            return
+        src.use("hosts")
+        src.emit(f"_h = hosts.get({dest})")
+        src.emit(f"if _h is None: cpu.eip = {dest}")
+        src.emit("else:")
+        src.emit(f"    cpu.eip = {next_eip}; cpu._invoke_host(_h)",
+                 in_host)
+        return
+    # jmp to a register, an import slot or the host region
+    src.use("hosts")
+    src.emit(f"cpu.eip = {dest}; _h = hosts.get({dest})")
+    src.emit("if _h is not None: cpu._invoke_host(_h)", in_host)
+
+
+# -- chain selection -----------------------------------------------------------
+
+
+def _control_kind(block: Block, code: Dict[int, Tuple]):
+    """Classify a block's ending transfer.
+
+    Returns ``(kind, data)`` where kind is one of:
+
+    * ``"fall"`` — no control op; data = fallthrough address
+    * ``"jmp"``  — direct intra-module jump; data = destination
+    * ``"cond"`` — conditional (plain or fused); data =
+      ``(fused_insn or None, jcc mnemonic, taken, not_taken)``
+    * ``"stop"`` — call / ret / hlt / indirect or host jump; the chain
+      ends after this block
     """
-    blocks: List[BlockTemplate] = []
-    nexts: List[Optional[int]] = []
-    looping = False
-    addr = entry
+    if block.ctl_index < 0:
+        return "fall", block.fallthrough
+    ctl_addr = block.addrs[block.ctl_index]
+    insn, size, target = code[ctl_addr]
+    m = insn.mnemonic
+    if m in ("cmp", "test"):
+        # a cmp/test in control position is a fused pair; the jcc is
+        # the next decoded instruction
+        jinsn, jsize, jtarget = code[ctl_addr + size]
+        return "cond", (insn, jinsn.mnemonic, jtarget,
+                        ctl_addr + size + jsize)
+    if m == "jmp" and target is not None and target < HOST_REGION_BASE:
+        return "jmp", target
+    if m in JCC_TAKEN:
+        return "cond", (None, m, target, ctl_addr + size)
+    return "stop", None
+
+
+def _chain(entry: int, code: Dict[int, Tuple]):
+    """The entry block plus its statically predicted successors.
+
+    Returns ``(blocks, looping)``; ``looping`` when the last block
+    predicts a return to ``entry``.
+    """
+    blocks: List[Block] = []
     seen = set()
+    addr = entry
     while True:
-        bt = template_of(addr)
-        if bt is None:
+        block = scan_block(addr, code)
+        if block is None:
             break
-        blocks.append(bt)
+        blocks.append(block)
         seen.add(addr)
-        if len(blocks) >= MAX_TRACE_BLOCKS:
-            nexts.append(None)
+        if len(blocks) >= MAX_LINKED_BLOCKS:
             break
-        kind, data = _control_info(bt, entries)
-        if kind == "fall":
-            nxt = data
-        elif kind == "jmp":
+        kind, data = _control_kind(block, code)
+        if kind in ("fall", "jmp"):
             nxt = data
         elif kind == "cond":
-            _insn, jcc_m, taken, not_taken = data
-            nxt = _predict(taken, not_taken, bt.addrs[bt.ctl_index])
+            _insn, _jcc, taken, not_taken = data
+            # static prediction: backward taken (loops), forward not
+            branch = block.addrs[block.ctl_index]
+            nxt = taken if taken <= branch else not_taken
         else:
-            nexts.append(None)
             break
         if nxt == entry:
-            nexts.append(nxt)
-            looping = True
+            return blocks, True
+        if nxt in seen:
             break
-        if nxt in seen or template_of(nxt) is None:
-            nexts.append(nxt)
-            break
-        nexts.append(nxt)
         addr = nxt
+    return blocks, False
+
+
+# -- the translator ------------------------------------------------------------
+
+
+def translate(entry: int, code: Dict[int, Tuple], abi,
+              tls_base: int) -> Optional[Translation]:
+    """Compile the block chain entered at ``entry`` (None when the entry
+    has no block: the CPU single-steps there)."""
+    blocks, looping = _chain(entry, code)
     if not blocks:
         return None
-    if len(blocks) == 1 and not looping:
-        # a lone non-looping block gains nothing from linking: leave
-        # the bound block's closure dispatch in place rather than pay
-        # an exec-compile per entry on call-heavy code
-        return None
-    if len(nexts) < len(blocks):
-        nexts.append(None)
-    sources = {flag: _generate(entry, blocks, nexts, looping, entries,
-                               abi, tls_base, flag)
-               for flag in (False, True)}
-    return TraceTemplate(entry, tuple(blocks), tuple(nexts), looping,
-                         sources)
-
-
-def _generate(entry: int, blocks: List[BlockTemplate],
-              nexts: List[Optional[int]], looping: bool,
-              entries: Dict[int, Tuple], abi, tls_base: int,
-              with_coverage: bool) -> Tuple[str, Dict[int, Tuple]]:
-    """Emit the ``_factory`` source and its line→accounting map."""
-    body: List[Tuple[str, Optional[Tuple]]] = []
-    fallback_refs: List[str] = []
-
-    def emit(text: str, meta: Optional[Tuple] = None) -> None:
-        body.append(("            " + text, meta))
-
+    src = _Source(abi, tls_base)
+    src.indent = "        " if looping else "    "
     last = len(blocks) - 1
-    for j, bt in enumerate(blocks):
-        nxt = nexts[j]
+    prefix = 0          # instructions of this iteration before block j
+    for j, block in enumerate(blocks):
+        through = prefix + block.count
+        ret = f"return consumed + {through}" if looping \
+            else f"return {through}"
+        if j or looping:
+            # never start a block the step budget couldn't finish: the
+            # CPU then single-steps so faults land exactly
+            done = f"consumed + {prefix}" if looping else str(prefix)
+            src.emit(f"if budget <= {through}: cpu.eip = {block.entry}; "
+                     f"return {done}")
+        src.emit(f"if cov is not None: cov[{block.entry}] = "
+                 f"cov.get({block.entry}, 0) + 1")
+        for i, addr in enumerate(block.addrs):
+            if i != block.ctl_index:
+                _emit_data(src, addr, code[addr],
+                           (prefix + block.cum[i], addr, through))
+        kind, data = _control_kind(block, code)
         is_last = j == last
-        ctl_addr = bt.addrs[bt.ctl_index] if bt.ctl_index >= 0 else None
-        # budget guard: never start a block the step budget couldn't
-        # finish — run() then single-steps so faults land exactly
-        emit(f"if budget <= {bt.count}: cpu.eip = {bt.entry}; "
-             f"return consumed")
-        if with_coverage:
-            emit(f"cov[{bt.entry}] = cov.get({bt.entry}, 0) + 1")
-        kind, data = _control_info(bt, entries)
-        for i in range(len(bt.binders)):
-            if i == bt.ctl_index:
-                continue
-            insn, _size, _target = entries[bt.addrs[i]]
-            meta = (bt.cum[i], bt.addrs[i], False, bt.count)
-            line = _data_src(insn, abi, tls_base, bt.addrs[i])
-            if line is None:
-                name = f"f{j}_{i}"
-                fallback_refs.append(f"{name} = fb[{j}][{i}]")
-                line = f"{name}()"
-            emit(line, meta)
-        # the ending transfer
-        ctl_meta = (None if bt.ctl_index < 0 else
-                    (bt.cum[bt.ctl_index], ctl_addr, True, bt.count))
-        book = f"consumed += {bt.count}; budget -= {bt.count}"
+        nxt = entry if is_last and looping else (
+            None if is_last else blocks[j + 1].entry)
         if kind == "stop":
-            name = f"f{j}_{bt.ctl_index}"
-            fallback_refs.append(f"{name} = fb[{j}][{bt.ctl_index}]")
-            emit(f"{name}()", ctl_meta)
-            emit(book)
-            emit("return consumed")
+            addr = block.addrs[block.ctl_index]
+            _emit_stop(src, addr, code[addr], prefix + block.cum[-1],
+                       through)
+            src.emit(ret)
         elif kind == "cond":
-            insn, jcc_m, taken, not_taken = data
+            insn, jcc, taken, not_taken = data
             if insn is not None:
-                line = _fused_src(insn, jcc_m, taken, not_taken, abi)
+                z, s = _fused_flags(src, insn)
             else:
-                pred = _JCC_SRC[jcc_m].format(z="cpu.zf", s="cpu.sf")
-                line = f"cpu.eip = {taken} if {pred} else {not_taken}"
-            if line is None:                   # pragma: no cover - defensive
-                name = f"f{j}_{bt.ctl_index}"
-                fallback_refs.append(f"{name} = fb[{j}][{bt.ctl_index}]")
-                line = f"{name}()"
-            emit(line, ctl_meta)
-            emit(book)
-            if is_last and looping:
-                emit(f"if cpu.eip != {entry}: return consumed")
-            elif is_last:
-                emit("return consumed")
+                z, s = "cpu.zf", "cpu.sf"
+            cond = _JCC_SRC[jcc].format(z=z, s=s)
+            if nxt is None:
+                src.emit(f"cpu.eip = {taken} if {cond} else {not_taken}")
+                src.emit(ret)
             else:
-                emit(f"if cpu.eip != {nxt}: return consumed")
-        elif kind == "jmp":
-            emit(book)
-            if is_last and not looping:
-                emit(f"cpu.eip = {data}; return consumed")
-            # in-trace or loop back-edge: eip is dead until the next
-            # exit point, where guards / faults / controls set it
-        else:  # fall
-            emit(book)
-            if is_last and not looping:
-                emit(f"cpu.eip = {data}; return consumed")
+                # leave the chain when the branch goes the other way
+                other = not_taken if nxt == taken else taken
+                test = cond if other == taken else f"not ({cond})"
+                src.emit(f"if {test}: cpu.eip = {other}; {ret}")
+        elif nxt is None:          # fall / jmp out of the chain
+            src.emit(f"cpu.eip = {data}; {ret}")
+        prefix = through
+    if looping:
+        src.emit(f"budget -= {prefix}; consumed += {prefix}")
+    return _compile(entry, blocks, looping, src)
 
-    header = [
-        "def _factory(rt, fb):",
-        "    cpu = rt.cpu",
-        "    v = rt.values",
-        "    read = rt.read_u32",
-        "    write = rt.write_u32",
-        "    proc = rt.proc",
-        "    dispatch = proc.kernel.dispatch",
-    ]
-    header += [f"    {ref}" for ref in dict.fromkeys(fallback_refs)]
-    header += [
-        "    def trace(budget, cov):",
-        "        consumed = 0",
-        "        while True:",
-    ]
-    lines = list(header)
+
+def _fused_flags(src: _Source, insn) -> Tuple[str, str]:
+    """Emit a fused ``cmp``/``test`` (register and immediate operands
+    only, so it cannot fault) and return its flag locals."""
+    if insn.mnemonic == "cmp":
+        pre: List[str] = []
+        a = src.signed(insn.operands[0], "_x", pre)
+        b = src.signed(insn.operands[1], "_y", pre)
+        for line in pre:
+            src.emit(line)
+        src.emit(f"_d = {a} - {b}; _z = _d == 0; _s = _d < 0")
+    else:
+        src.emit(f"_r = {src.read(insn.operands[0])} & "
+                 f"{src.read(insn.operands[1])}; "
+                 f"_z = _r == 0; _s = _r >= {_SIGN}")
+    src.emit("cpu.zf = _z; cpu.sf = _s")
+    return "_z", "_s"
+
+
+def _compile(entry: int, blocks: List[Block], looping: bool,
+             src: _Source) -> Translation:
+    lines = ["def block(cpu, budget, cov):"]
+    lines += [f"    {_PROLOGUE[name]}" for name in _PROLOGUE
+              if name in src.uses]
+    if looping:
+        lines += ["    consumed = 0", "    while True:"]
     linemap: Dict[int, Tuple] = {}
-    for text, meta in body:
+    for text, meta in src.lines:
         lines.append(text)
-        if meta is not None:
+        if meta:
             linemap[len(lines)] = meta
-    lines.append("    return trace")
-    return "\n".join(lines) + "\n", linemap
+    namespace = dict(_GLOBALS)
+    namespace.update(src.consts)
+    exec(compile("\n".join(lines) + "\n", f"<block:{entry:#x}>", "exec"),
+         namespace)
+    return Translation(blocks[0].count, namespace["block"], linemap,
+                       looping or len(blocks) > 1)

@@ -152,6 +152,53 @@ class TestPathEquivalence:
                 states[use_blocks] = (proc.cpu.eip, _state(proc))
             assert states[True] == states[False], f"budget={budget}"
 
+    def test_every_operand_shape_identical(self):
+        """Every shape a block may contain — including the ones the
+        translator hands to ``Cpu._execute`` — run in a loop, so the
+        translated path runs them linked: identical to the step path."""
+        items = [
+            label("f"),
+            ins("mov", Reg("ecx"), Imm(20)),
+            ins("mov", Reg("eax"), Imm(3)),
+            ins("push", Imm(5)),
+            ins("push", Imm(-7)),
+            label("loop"),
+            ins("imul", Reg("eax"), Mem(base="esp")),
+            ins("shl", Reg("eax"), Imm(3)),
+            ins("shr", Mem(base="esp", disp=4), Imm(1)),
+            ins("imul", Mem(base="esp", disp=4), Reg("ecx")),
+            ins("add", Mem(base="esp"), Reg("ecx")),
+            ins("xor", Reg("ebx"), Mem(base="esp", disp=4)),
+            ins("neg", Reg("edx")),
+            ins("not", Reg("ebx")),
+            ins("neg", Mem(base="esp")),
+            ins("not", Mem(base="esp", disp=4)),
+            ins("inc", Mem(base="esp")),
+            ins("dec", Reg("edi")),
+            ins("lea", Reg("esi"),
+                Mem(base="esp", index="ecx", scale=4, disp=8)),
+            ins("mov", Reg("ebp"), Mem(segment="gs")),
+            ins("mov", Mem(segment="gs", disp=8), Reg("ecx")),
+            ins("add", Reg("ebp"), Mem(segment="gs", disp=8)),
+            ins("test", Reg("eax"), Mem(base="esp")),
+            ins("cmp", Mem(base="esp"), Imm(3)),
+            ins("push", Mem(base="esp", disp=4)),
+            ins("pop", Mem(base="esp", disp=4)),
+            ins("push", Reg("esp")),
+            ins("pop", Reg("edx")),
+            ins("mov", Mem(base="esp"), Mem(base="esp", disp=4)),
+            ins("sub", Reg("ecx"), Imm(1)),
+            ins("jnz", Label("loop")),
+            ins("pop", Reg("eax")),
+            ins("pop", Reg("ebx")),
+            ins("ret"),
+        ]
+        outs = {}
+        for use_blocks in (True, False):
+            proc, rc = _run(items, use_blocks=use_blocks)
+            outs[use_blocks] = (rc, proc.cpu.eip, _state(proc))
+        assert outs[True] == outs[False]
+
     def test_tracer_selects_exact_path(self):
         """An attached tracer must yield one entry per instruction even
         with the block path enabled globally."""
@@ -567,3 +614,28 @@ class TestPoolWarmup:
         pool.warmup = lambda: calls.append(1)
         pool.map(lambda x: x, [1])
         assert calls == []
+
+
+class TestCampaignShimSharing:
+    def test_per_case_shims_share_decoded_and_translated_code(
+            self, libc_linux, libc_profiles_linux):
+        """Every case's controller synthesizes its shim under a fresh
+        soname and eval import, but the shim's code bytes repeat: past
+        the first case nothing is decoded again, and a campaign longer
+        than the cache's capacity evicts nothing."""
+        CODE_CACHE.clear()
+        cases = enumerate_cases(libc_profiles_linux,
+                                functions=["close", "write"],
+                                call_ordinals=range(1, 40))
+        assert len(cases) > CODE_CACHE.capacity
+        factory = _copy_factory(libc_linux.image)
+        run_campaign("shims", factory, LINUX_X86, libc_profiles_linux,
+                     cases[:1])
+        first = CODE_CACHE.stats()
+        report = run_campaign("shims", factory, LINUX_X86,
+                              libc_profiles_linux, cases)
+        assert len(report.results) == len(cases)
+        stats = CODE_CACHE.stats()
+        assert stats["evictions"] == 0
+        assert stats["decode_misses"] == first["decode_misses"]
+        assert stats["module_misses"] == first["module_misses"]

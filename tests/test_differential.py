@@ -5,6 +5,12 @@ direct Python interpreter over the AST and (b) compiled, loaded and run
 on the VM.  Any divergence is a bug in the code generator, assembler,
 encoder, loader or CPU — this is the deepest correctness net over the
 whole substrate stack.
+
+Every VM run happens twice, on the translated path and on the step path
+(``Cpu.use_blocks = False``), and the two must agree on the return value,
+``eip``, ``instructions_executed``, the register file and the flags.
+Loops run up to 40 times, so linked functions close into native loops,
+and a ``max_steps`` sweep makes the step budget expire inside them.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import RuntimeFault
 from repro.kernel import Kernel
 from repro.platform import LINUX_X86, SOLARIS_SPARC
 from repro.runtime import Process
@@ -163,18 +170,42 @@ def _program(draw):
                                                 minc.Const(1))))
             stmts.append(minc.While(
                 minc.Cond("<", minc.Local("c"),
-                          minc.Const(draw(st.integers(0, 6)))), body))
+                          minc.Const(draw(st.integers(0, 40)))), body))
     stmts.append(minc.Return(draw(_expr(2, defined))))
     return tuple(stmts)
 
 
-def _vm_run(body, params: List[int], platform) -> int:
+def _build(body, platform):
     builder = LibraryBuilder("libdiff.so")
     builder.simple("f", 2, *body)
-    image = builder.build(platform).image
+    return builder.build(platform).image
+
+
+def _outcome(image, params: List[int], platform, *, use_blocks: bool,
+             max_steps: int = 1_000_000):
+    """Run ``f`` once on a fresh process; everything an execution path
+    could get wrong, in comparable form."""
     proc = Process(Kernel(os_name=platform.os), platform)
     proc.load(image)
-    return proc.libcall("f", *[p & MASK for p in params])
+    proc.cpu.use_blocks = use_blocks
+    try:
+        result = proc.libcall("f", *[p & MASK for p in params],
+                              max_steps=max_steps)
+    except RuntimeFault as exc:
+        result = ("budget", str(exc))
+    cpu = proc.cpu
+    return (result, cpu.eip, cpu.instructions_executed,
+            cpu.regs.as_dict(), cpu.zf, cpu.sf)
+
+
+def _vm_run(body, params: List[int], platform) -> int:
+    """The translated path's result, after checking the step path
+    agrees with it exactly."""
+    image = _build(body, platform)
+    fast = _outcome(image, params, platform, use_blocks=True)
+    slow = _outcome(image, params, platform, use_blocks=False)
+    assert fast == slow
+    return fast[0]
 
 
 @given(body=_program(), p0=_SMALL, p1=_SMALL)
@@ -189,6 +220,26 @@ def test_vm_matches_reference_x86(body, p0, p1):
 def test_vm_matches_reference_sparc(body, p0, p1):
     assert _vm_run(body, [p0, p1], SOLARIS_SPARC) == \
         reference_run(body, [p0, p1])
+
+
+@given(body=_program(), p0=_SMALL, p1=_SMALL,
+       platform=st.sampled_from([LINUX_X86, SOLARIS_SPARC]))
+@settings(max_examples=40, deadline=None)
+def test_budget_sweep_matches_step_path(body, p0, p1, platform):
+    """Budgets expiring at every point of a short run, and spread over a
+    long one: the translated path must stop on the exact instruction,
+    with the exact state, the step path reports."""
+    image = _build(body, platform)
+    full = _outcome(image, [p0, p1], platform, use_blocks=False)
+    total = full[2]
+    budgets = set(range(1, min(total, 24) + 2))
+    budgets |= {max(1, total * k // 16) for k in range(1, 18)}
+    for budget in sorted(budgets):
+        fast = _outcome(image, [p0, p1], platform, use_blocks=True,
+                        max_steps=budget)
+        slow = _outcome(image, [p0, p1], platform, use_blocks=False,
+                        max_steps=budget)
+        assert fast == slow, f"max_steps={budget}"
 
 
 @given(body=_program(), p0=_SMALL, p1=_SMALL)

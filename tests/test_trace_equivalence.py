@@ -1,27 +1,28 @@
-"""The superblock trace tier: exact equivalence with blocks and steps.
+"""Linked translations: exact equivalence with the step path.
 
-The trace compiler (runtime/traces.py) links hot blocks into single
-exec-compiled superblocks once their dispatch heat crosses the
-promotion threshold.  Like the block tier beneath it, it is an
-optimization with a hard contract: registers, memory, flags,
-``instructions_executed``, fault addresses, coverage counts and the
-campaign event stream must be indistinguishable from both the
-per-block and per-instruction interpreters.  These tests pin that
-contract, including the awkward edges — budgets expiring exactly at
-block boundaries inside a linked trace, and faults landing mid-trace.
+The translator (runtime/traces.py) compiles every block entry together
+with its statically predicted successors into one generated function,
+closing loops into native ``while`` loops.  Like every execution path,
+it is an optimization with a hard contract: registers, memory, flags,
+``eip``, ``instructions_executed``, fault addresses, coverage counts
+and the campaign event stream must be indistinguishable from the
+per-instruction interpreter.  These tests pin that contract, including
+the awkward edges — budgets expiring exactly at block seams inside a
+linked function, and faults landing mid-chain.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.runtime.traces as traces
 from repro.errors import MemoryFault, RuntimeFault
 from repro.isa import Imm, Label, Mem, Reg, ins, label
 from repro.kernel import Kernel
 from repro.platform import LINUX_X86
 from repro.runtime import CODE_CACHE, Process
+from repro.runtime.blocks import scan_block
 from repro.runtime.cpu import Cpu
-from repro.runtime.traces import TRACE_THRESHOLD
 
 from tests.test_block_compiler import (_image, _instrumented_campaign,
                                        _loop_items, _result_fingerprint,
@@ -29,36 +30,47 @@ from tests.test_block_compiler import (_image, _instrumented_campaign,
 
 
 @pytest.fixture(autouse=True)
-def _restore_trace_mode():
-    """Every test starts (and leaves) with the default tiers on."""
-    saved = (Cpu.use_blocks, Cpu.use_traces, Cpu.trace_threshold)
+def _restore_block_mode():
+    """Every test starts (and leaves) with the translated path on."""
+    saved = Cpu.use_blocks
     yield
-    Cpu.use_blocks, Cpu.use_traces, Cpu.trace_threshold = saved
+    Cpu.use_blocks = saved
 
 
-def _make_proc(items, *, mode, threshold=1):
-    """A loaded process in one of three interpreter modes."""
+def _make_proc(items, *, mode, soname="libblk.so"):
+    """A loaded process on the translated or the step path."""
     proc = Process(Kernel(), LINUX_X86)
-    proc.load(_image(items))
-    cpu = proc.cpu
+    proc.load(_image(items, soname=soname))
     if mode == "step":
-        cpu.use_blocks = False
-    elif mode == "blocks":
-        cpu.use_traces = False
-    elif mode == "traces":
-        cpu.use_traces = True
-        cpu.trace_threshold = threshold
-    else:
+        proc.cpu.use_blocks = False
+    elif mode != "translated":
         raise AssertionError(mode)
     return proc
 
 
-def _has_trace(proc):
-    return any(getattr(b, "is_trace", False)
-               for b in proc.cpu._blocks.values() if b is not None)
+def _linked(proc):
+    """The translations this CPU ran that link blocks or close a loop."""
+    return [t for t in proc.cpu._blocks.values()
+            if t is not None and t.linked]
 
 
-MODES = ("traces", "blocks", "step")
+MODES = ("translated", "step")
+
+_FAULT_ITEMS = [
+    label("f"),
+    ins("mov", Reg("ecx"), Imm(200)),
+    ins("mov", Reg("edx"), Reg("esp")),
+    label("loop"),
+    ins("cmp", Reg("ecx"), Imm(40)),
+    ins("jnz", Label("ok")),
+    ins("mov", Reg("edx"), Imm(0x500)),     # unmapped on iter 161
+    label("ok"),
+    ins("mov", Reg("eax"), Mem(base="edx")),
+    ins("sub", Reg("ecx"), Imm(1)),
+    ins("cmp", Reg("ecx"), Imm(0)),
+    ins("jnz", Label("loop")),
+    ins("ret"),
+]
 
 
 class TestTraceEquivalence:
@@ -67,165 +79,166 @@ class TestTraceEquivalence:
         for mode in MODES:
             proc = _make_proc(_loop_items(200), mode=mode)
             rc = proc.libcall("f")
-            outs[mode] = (rc, _state(proc))
-            if mode == "traces":
-                assert _has_trace(proc), "loop never promoted to a trace"
-        assert outs["traces"] == outs["blocks"] == outs["step"]
-
-    def test_default_threshold_promotes_hot_loop(self):
-        """With the production threshold, a loop hot enough to matter
-        still gets linked — the tier is on by default, not opt-in."""
-        proc = _make_proc(_loop_items(TRACE_THRESHOLD * 4), mode="traces",
-                          threshold=TRACE_THRESHOLD)
-        proc.libcall("f")
-        assert _has_trace(proc)
+            outs[mode] = (rc, proc.cpu.eip, _state(proc))
+            if mode == "translated":
+                assert _linked(proc), "loop never ran as a linked function"
+        assert outs["translated"] == outs["step"]
 
     def test_memory_fault_mid_trace_identical(self):
-        """A fault firing inside a linked trace must leave eip,
-        registers and the instruction count exactly where the step
-        path leaves them."""
-        items = [
-            label("f"),
-            ins("mov", Reg("ecx"), Imm(200)),
-            ins("mov", Reg("edx"), Reg("esp")),
-            label("loop"),
-            ins("cmp", Reg("ecx"), Imm(40)),
-            ins("jnz", Label("ok")),
-            ins("mov", Reg("edx"), Imm(0x500)),     # unmapped on iter 161
-            label("ok"),
-            ins("mov", Reg("eax"), Mem(base="edx")),
-            ins("sub", Reg("ecx"), Imm(1)),
-            ins("cmp", Reg("ecx"), Imm(0)),
-            ins("jnz", Label("loop")),
-            ins("ret"),
-        ]
+        """A fault firing inside a linked function must leave eip,
+        registers and the instruction count exactly where the step path
+        leaves them."""
         outs = {}
         for mode in MODES:
-            proc = _make_proc(items, mode=mode)
+            proc = _make_proc(_FAULT_ITEMS, mode=mode)
             with pytest.raises(MemoryFault):
                 proc.libcall("f")
             outs[mode] = (proc.cpu.eip, _state(proc))
-            if mode == "traces":
-                assert _has_trace(proc)
-        assert outs["traces"] == outs["blocks"] == outs["step"]
+            if mode == "translated":
+                assert _linked(proc)
+        assert outs["translated"] == outs["step"]
 
     def test_budget_exhaustion_sweep_identical(self):
-        """Budgets expiring anywhere — mid-trace, at block seams, one
+        """Budgets expiring anywhere — mid-chain, at block seams, one
         short of a seam — must land the fault on the exact instruction
         the step path reports."""
         for budget in range(2, 48):
             outs = {}
-            for mode in ("traces", "step"):
+            for mode in MODES:
                 proc = _make_proc(_loop_items(1000), mode=mode)
                 with pytest.raises(RuntimeFault) as err:
                     proc.libcall("f", max_steps=budget)
                 assert "budget exhausted" in str(err.value)
                 outs[mode] = (proc.cpu.eip, _state(proc))
-            assert outs["traces"] == outs["step"], f"budget={budget}"
+            assert outs["translated"] == outs["step"], f"budget={budget}"
 
     def test_budget_exactly_block_count_identical(self):
-        """The regression the trace guards exist for: when the budget
-        equals a constituent block's count exactly, the guard must bail
-        to the single-step fallback, never run the block."""
-        warm = _make_proc(_loop_items(1000), mode="traces")
+        """The regression the seam guards exist for: when the budget
+        equals a block's count exactly (alone or after the blocks linked
+        ahead of it), the guard must bail to the single-step fallback,
+        never run the block."""
+        warm = _make_proc(_loop_items(1000), mode="translated")
         with pytest.raises(RuntimeFault):
             warm.libcall("f", max_steps=500)
-        trace = next(b for b in warm.cpu._blocks.values()
-                     if getattr(b, "is_trace", False))
-        counts = [bt.count for bt in trace.template.blocks]
-        assert counts[0] == trace.count
-        # budget == count of each constituent block, plus the seams
-        budgets = sorted({c for c in counts}
-                         | {counts[0] + c for c in counts[1:]})
+        assert _linked(warm)
+        counts = sorted({scan_block(addr, warm.code_cache).count
+                         for addr, t in warm.cpu._blocks.items()
+                         if t is not None})
+        assert len(counts) >= 2
+        budgets = sorted(set(counts)
+                         | {a + b for a in counts for b in counts}
+                         | {a + 2 * b for a in counts for b in counts})
         for budget in budgets:
             outs = {}
-            for mode in ("traces", "step"):
+            for mode in MODES:
                 proc = _make_proc(_loop_items(1000), mode=mode)
                 with pytest.raises(RuntimeFault) as err:
                     proc.libcall("f", max_steps=budget)
                 assert "budget exhausted" in str(err.value)
                 outs[mode] = (proc.cpu.eip, _state(proc))
-            assert outs["traces"] == outs["step"], f"budget={budget}"
+            assert outs["translated"] == outs["step"], f"budget={budget}"
+
+    def test_budget_sweep_through_a_fault_identical(self):
+        """Budget exhaustion and a memory fault competing inside the
+        same linked loop: whichever comes first must match the step
+        path."""
+        kinds = set()
+        # the fault is the 966th instruction; straddle it
+        for budget in [100, 5000] + list(range(955, 975)):
+            outs = {}
+            for mode in MODES:
+                proc = _make_proc(_FAULT_ITEMS, mode=mode)
+                with pytest.raises((MemoryFault, RuntimeFault)) as err:
+                    proc.libcall("f", max_steps=budget)
+                outs[mode] = (type(err.value), proc.cpu.eip, _state(proc))
+            assert outs["translated"] == outs["step"], f"budget={budget}"
+            kinds.add(outs["step"][0])
+        assert kinds == {MemoryFault, RuntimeFault}
 
 
 class TestTraceCoverage:
-    def test_coverage_counts_match_unlinked_dispatch(self):
-        """A linked trace must record the same per-entry coverage the
-        block dispatcher would have — side exits included."""
-        items = [
-            label("f"),
-            ins("mov", Reg("ecx"), Imm(100)),
-            ins("mov", Reg("eax"), Imm(0)),
-            label("loop"),
-            ins("add", Reg("eax"), Imm(3)),
-            ins("cmp", Reg("ecx"), Imm(50)),
-            ins("jle", Label("skip")),              # taken for iters 51..100
-            ins("add", Reg("eax"), Imm(1)),
-            label("skip"),
-            ins("sub", Reg("ecx"), Imm(1)),
-            ins("cmp", Reg("ecx"), Imm(0)),
-            ins("jnz", Label("loop")),
-            ins("ret"),
-        ]
-        coverages = {}
-        for mode in ("traces", "blocks"):
-            proc = _make_proc(items, mode=mode)
+    _ITEMS = [
+        label("f"),
+        ins("mov", Reg("ecx"), Imm(100)),
+        ins("mov", Reg("eax"), Imm(0)),
+        label("loop"),
+        ins("add", Reg("eax"), Imm(3)),
+        ins("cmp", Reg("ecx"), Imm(50)),
+        ins("jle", Label("skip")),              # taken for iters 51..100
+        ins("add", Reg("eax"), Imm(1)),
+        label("skip"),
+        ins("sub", Reg("ecx"), Imm(1)),
+        ins("cmp", Reg("ecx"), Imm(0)),
+        ins("jnz", Label("loop")),
+        ins("ret"),
+    ]
+
+    def _coverage(self):
+        CODE_CACHE.clear()
+        try:
+            proc = _make_proc(self._ITEMS, mode="translated",
+                              soname="libcov.so")
             proc.cpu.coverage = {}
             rc = proc.libcall("f")
-            coverages[mode] = (rc, dict(proc.cpu.coverage))
-            if mode == "traces":
-                assert _has_trace(proc)
-        assert coverages["traces"] == coverages["blocks"]
-        assert sum(coverages["traces"][1].values()) > 100
+            return rc, dict(proc.cpu.coverage), bool(_linked(proc))
+        finally:
+            CODE_CACHE.clear()
+
+    def test_coverage_counts_match_unlinked_dispatch(self, monkeypatch):
+        """A linked function must record the same per-entry coverage the
+        dispatcher records when every block runs on its own — side exits
+        included."""
+        rc, linked_cov, any_linked = self._coverage()
+        assert any_linked
+        monkeypatch.setattr(traces, "MAX_LINKED_BLOCKS", 1)
+        rc_alone, alone_cov, any_linked = self._coverage()
+        assert not any_linked
+        assert (rc, linked_cov) == (rc_alone, alone_cov)
+        assert sum(linked_cov.values()) > 100
 
 
 class TestTraceCacheBehaviour:
-    def test_promotion_records_cache_counters(self):
+    def test_linked_translations_shared_across_processes(self):
+        """A second process over the same code runs the very same
+        generated functions: nothing is re-linked, and no per-CPU bind
+        step exists."""
         CODE_CACHE.clear()
-        proc = _make_proc(_loop_items(50), mode="traces")
+        proc = _make_proc(_loop_items(50), mode="translated")
         proc.libcall("f")
         stats = CODE_CACHE.stats()
         assert stats["traces_linked"] >= 1
-        # a second process over the same image re-binds the shared
-        # template instead of re-linking it
-        proc2 = _make_proc(_loop_items(50), mode="traces")
+        assert stats["blocks_compiled"] >= stats["traces_linked"]
+        proc2 = _make_proc(_loop_items(50), mode="translated")
         proc2.libcall("f")
         stats2 = CODE_CACHE.stats()
         assert stats2["traces_linked"] == stats["traces_linked"]
-        assert stats2["trace_hits"] > stats["trace_hits"]
-
-    def test_block_invalidation_cascades_to_traces(self):
-        CODE_CACHE.clear()
-        proc = _make_proc(_loop_items(50), mode="traces")
-        proc.libcall("f")
-        mc = next(iter(proc._module_code.values()))
-        entry, template = next((a, t) for a, t in mc.traces.items()
-                               if t is not None)
-        constituent = sorted(template.block_entries)[-1]
-        mc.invalidate(constituent)
-        assert entry not in mc.traces
-        assert CODE_CACHE.stats()["trace_invalidations"] >= 1
+        assert stats2["blocks_compiled"] == stats["blocks_compiled"]
+        assert stats2["template_hits"] > stats["template_hits"]
+        shared = {a: t for a, t in proc.cpu._blocks.items() if t is not None}
+        assert shared
+        for addr, t in shared.items():
+            assert proc2.cpu._blocks[addr] is t
+        assert (proc.cpu.eip, _state(proc)) == (proc2.cpu.eip, _state(proc2))
 
 
 class TestTraceStatsSurface:
     def test_repro_stats_renders_trace_cache_effectiveness(
             self, libc_linux, libc_profiles_linux, tmp_path, capsys):
-        """``repro stats`` reconstructs the superblock tier's cache
-        counters from the JSONL stream alone."""
+        """``repro stats`` reconstructs the translation cache's counters
+        (translations, linked ones, hits) from the JSONL stream alone."""
         from repro.cli import main
         from repro.core.campaign import enumerate_cases, run_campaign
         from repro.obs import Telemetry
         from repro.obs.events import read_events, summarize_events
 
         CODE_CACHE.clear()
-        Cpu.trace_threshold = 2
         loop_image = _image(_loop_items(50), soname="libloop.so")
 
         def factory(lfi):
             def session():
                 proc = lfi.make_process(
                     Kernel(), [libc_linux.image, loop_image])
-                proc.libcall("f")           # hot loop: links a trace
+                proc.libcall("f")           # hot loop: a linked function
                 rc = proc.libcall("close", 99)
                 return 1 if rc != 0 else 0
             return session
@@ -248,17 +261,20 @@ class TestTraceStatsSurface:
         assert main(["stats", str(log)]) == 0
         out = capsys.readouterr().out
         assert "code cache:" in out
-        assert "traces linked" in out
+        assert "blocks translated" in out
+        assert "with linked successors" in out
 
 
 class TestTraceCampaignDifferential:
     def test_campaign_traces_on_equals_traces_off(self, libc_linux,
                                                   libc_profiles_linux):
-        Cpu.use_traces = True
-        Cpu.trace_threshold = 2
+        """Translator on (linked functions) vs off (step path): the
+        same campaign yields the same per-case results, instruction
+        counts and event stream."""
+        Cpu.use_blocks = True
         on_report, on_sink = _instrumented_campaign(
             libc_linux, libc_profiles_linux)
-        Cpu.use_traces = False
+        Cpu.use_blocks = False
         off_report, off_sink = _instrumented_campaign(
             libc_linux, libc_profiles_linux)
         assert _result_fingerprint(on_report) \
