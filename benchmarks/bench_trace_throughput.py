@@ -1,20 +1,21 @@
-"""Linked translation + the no-fault fast path: throughput benchmarks.
+"""Linked translation + dormant interception: throughput benchmarks.
 
 The translator (``runtime/traces.py``) compiles every block entry with
 its statically predicted successors into one generated function, closing
-hot loops into native ``while`` loops, and the injector's dormant fast
-path (``core/controller/injector.py``) collapses intercepted calls to
-direct dispatch once a plan provably cannot fire again.  This benchmark
-measures both:
+hot loops into native ``while`` loops, and the guest-side interception
+stubs (``core/controller/stubs.py``) count a call and jump straight to
+the original, without leaving the guest, once a plan provably cannot
+fire again.  This benchmark measures both:
 
 * **hot loop** — guest MIPS on the translated path vs the step path
   (same synthetic kernel as ``bench_interp_throughput``, so numbers are
   comparable);
 * **dormant calls** — intercepted libc calls/sec through a
   stack-matched trigger whose call-ordinal horizon has passed (the
-  dormant proof holds: no evaluation, no backtrace walk, no logbook)
-  vs the same trigger shape with a far-future horizon (evaluated, and
-  the backtrace built, on every call);
+  dormant proof holds: the stub jumps to the original, the host never
+  sees the call) vs the same trigger shape with a far-future horizon
+  (trapped, evaluated, and the backtrace built, on every call) and vs
+  the unshimmed ceiling;
 * **no-fault campaign** — serial cases/sec on a minimal workload whose
   triggers fire on call 1 and go dormant for the rest of the case.
 
@@ -103,47 +104,51 @@ def _profiles():
     return image, profiles
 
 
-def _measure_calls(image, profiles, kind: str) -> float:
+def _measure_calls(image, profiles) -> dict:
     """``close()`` calls/sec under three interception regimes.
 
     * ``live`` — an nth trigger with a stack-trace condition and a
       far-future horizon: every call is evaluated and a backtrace is
       built, and the frame spec never matches;
     * ``dormant`` — the same trigger shape with its horizon at call 1:
-      it passes immediately, so every later call takes the injector's
-      dormant fast path (no evaluation, no frames, no logbook);
+      it passes immediately, so every later call runs only the guest
+      stub (count, jump to the original);
     * ``unbound`` — the plan targets a different function entirely, so
       ``close`` is never shimmed: the zero-interception ceiling.
 
-    Best of three samples per regime — single-run call throughput is
-    noisy relative to the effect being measured.
+    Best of five samples per regime, the regimes taking turns so host
+    speed drift lands on all three alike — single-run call throughput
+    is noisy relative to the effect being measured.
     """
-    plan = Plan()
-    if kind == "unbound":
-        plan.add(FunctionTrigger(function="read", mode="nth", nth=1,
-                                 actions=(ErrorCode(-1, "EIO"),)))
-    else:
-        plan.add(FunctionTrigger(
-            function="close", mode="nth",
-            nth=1 if kind == "dormant" else 1_000_000,
-            stacktrace=(FrameSpec("no_such_caller"),),
-            actions=(ErrorCode(-1, "EBADF"),)))
-    lfi = Controller(LINUX_X86, profiles, plan)
-    proc = lfi.make_process(Kernel(), [image])
-    proc.libcall("close", 99)       # call 1: passes the dormant horizon
-    best = 0.0
-    for _ in range(3):
-        started = time.perf_counter()
-        for _ in range(_DORMANT_CALLS):
-            proc.libcall("close", 99)
-        best = max(best, _DORMANT_CALLS
-                   / (time.perf_counter() - started))
-    return best
+    procs = {}
+    for kind in ("live", "dormant", "unbound"):
+        plan = Plan()
+        if kind == "unbound":
+            plan.add(FunctionTrigger(function="read", mode="nth", nth=1,
+                                     actions=(ErrorCode(-1, "EIO"),)))
+        else:
+            plan.add(FunctionTrigger(
+                function="close", mode="nth",
+                nth=1 if kind == "dormant" else 1_000_000,
+                stacktrace=(FrameSpec("no_such_caller"),),
+                actions=(ErrorCode(-1, "EBADF"),)))
+        lfi = Controller(LINUX_X86, profiles, plan)
+        procs[kind] = lfi.make_process(Kernel(), [image])
+        procs[kind].libcall("close", 99)   # call 1: passes the horizon
+    best = dict.fromkeys(procs, 0.0)
+    for _ in range(5):
+        for kind, proc in procs.items():
+            started = time.perf_counter()
+            for _ in range(_DORMANT_CALLS):
+                proc.libcall("close", 99)
+            best[kind] = max(best[kind], _DORMANT_CALLS
+                             / (time.perf_counter() - started))
+    return {f"{kind}_calls_per_second": rate for kind, rate in best.items()}
 
 
 def _measure_nofault_campaign(image, profiles) -> dict:
     """Serial cases/sec on a minimal workload: triggers fire on call 1,
-    the rest of every case runs on the dormant fast path."""
+    the rest of every case runs through dormant guest stubs."""
     O_CREAT, O_RDWR = 0o100, 0o2
 
     def factory(lfi):
@@ -173,13 +178,7 @@ def _arms():
     results = {
         "hot_loop": {"step_mips": _measure_hot_loop(False),
                      "translated_mips": _measure_hot_loop(True)},
-        "dormant_calls": {
-            "live_calls_per_second": _measure_calls(
-                image, profiles, "live"),
-            "dormant_calls_per_second": _measure_calls(
-                image, profiles, "dormant"),
-            "unbound_calls_per_second": _measure_calls(
-                image, profiles, "unbound")},
+        "dormant_calls": _measure_calls(image, profiles),
         "nofault_campaign": _measure_nofault_campaign(image, profiles),
     }
     hot = results["hot_loop"]
@@ -190,13 +189,16 @@ def _arms():
     calls = results["dormant_calls"]
     calls["speedup"] = round(calls["dormant_calls_per_second"]
                              / calls["live_calls_per_second"], 2)
-    # how much of the live-vs-unbound interception overhead the fast
-    # path recovers (1.0 = dormant calls cost the same as unshimmed)
+    # how much of the live-vs-unbound interception overhead the dormant
+    # stubs recover (1.0 = dormant calls cost the same as unshimmed)
     gap = (calls["unbound_calls_per_second"]
            - calls["live_calls_per_second"])
     calls["overhead_recovered"] = round(
         (calls["dormant_calls_per_second"]
          - calls["live_calls_per_second"]) / gap, 2) if gap > 0 else None
+    calls["dormant_over_unbound"] = round(
+        calls["dormant_calls_per_second"]
+        / calls["unbound_calls_per_second"], 2)
     return results
 
 
@@ -205,7 +207,7 @@ def _report(results, write_json: bool = True):
     calls = results["dormant_calls"]
     camp = results["nofault_campaign"]
     print_table(
-        "linked translation + dormant fast path "
+        "linked translation + dormant guest stubs "
         f"({'fast' if FAST else 'full'} mode)",
         "arm                         step/live       translated/dormant"
         "        speedup",
@@ -217,7 +219,8 @@ def _report(results, write_json: bool = True):
          f"{calls['speedup']:5.2f}x",
          f"  (unshimmed ceiling)   "
          f"{calls['unbound_calls_per_second']:10.1f}      "
-         f"overhead recovered: {calls['overhead_recovered']}",
+         f"overhead recovered: {calls['overhead_recovered']}, "
+         f"dormant/unshimmed: {calls['dormant_over_unbound']}",
          f"no-fault campaign       {camp['cases']:6d} cases      "
          f"{camp['cases_per_second']:10.1f}/s"])
     if write_json:
@@ -242,14 +245,20 @@ def _assert_claims(results) -> None:
     dormant_bar = 1.02 if FAST else 1.08
     calls = results["dormant_calls"]
     assert calls["speedup"] >= dormant_bar, \
-        (f"dormant fast path {calls['speedup']:.2f}x over live "
+        (f"dormant stubs {calls['speedup']:.2f}x over live "
          f"evaluation fell below {dormant_bar:.2f}x")
     if not FAST:
-        # the fast path should recover a meaningful share of the
-        # live-vs-unshimmed gap (measured ~0.5-0.8 on this host)
+        # the dormant stubs should recover a meaningful share of the
+        # live-vs-unshimmed gap
         recovered = calls["overhead_recovered"]
         assert recovered is None or recovered >= 0.25, \
             f"dormant path recovered only {recovered} of the overhead"
+    # a dormant call never leaves the guest: it should cost close to an
+    # unshimmed one (the long-term target is 0.90)
+    ceiling_bar = 0.70 if FAST else 0.80
+    assert calls["dormant_over_unbound"] >= ceiling_bar, \
+        (f"dormant calls ran at {calls['dormant_over_unbound']:.2f}x the "
+         f"unshimmed ceiling, below {ceiling_bar:.2f}x")
 
 
 def test_trace_throughput(benchmark):

@@ -3,9 +3,10 @@
 
 Attaches the execution tracer to a process under LFI and prints the
 exact guest instructions for one intercepted call: the caller's entry
-into the synthesized stub (inside liblfi_shim.so), the push of the
-function id, the call into the controller's support routine — and, on
-the pass-through path, the tail-jump into the original libc function.
+into the synthesized stub (inside liblfi_shim.so), the stub counting
+the call and jumping through its target word into the controller's
+evaluation entry — and, on the pass-through path, the continuation into
+the original libc function.
 
 Run:  python examples/trace_interception.py
 """
@@ -43,8 +44,8 @@ def main() -> None:
           "(injected EBADF)")
     print(f"modules on the path: {' -> '.join(trace.modules_touched())}")
     print("\nnote: on the injected call the trace never enters libc — "
-          "the stub's support call set the return value and side effect "
-          "and returned straight to the caller (§5.1).")
+          "the controller entry the stub jumped to set the return value "
+          "and side effect and returned straight to the caller (§5.1).")
 
 
 if __name__ == "__main__":

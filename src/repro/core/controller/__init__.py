@@ -6,7 +6,7 @@ from .controller import (REPORT_SCHEMA, STATUS_CRASHED, STATUS_ERROR_EXIT,
 from .injector import Injector
 from .logbook import InjectionRecord, Logbook
 from .replay import build_replay_plan, replay_script
-from .stubs import EVAL_SYMBOL, SHIM_SONAME, generate_c_source, synthesize_shim
+from .stubs import SHIM_SONAME, generate_c_source, synthesize_shim
 from .triggers import Decision, TriggerEngine
 
 __all__ = [
@@ -16,5 +16,5 @@ __all__ = [
     "Injector", "TriggerEngine", "Decision",
     "Logbook", "InjectionRecord",
     "build_replay_plan", "replay_script",
-    "synthesize_shim", "generate_c_source", "EVAL_SYMBOL", "SHIM_SONAME",
+    "synthesize_shim", "generate_c_source", "SHIM_SONAME",
 ]

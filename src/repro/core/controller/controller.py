@@ -20,6 +20,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...binfmt import SharedObject
@@ -33,7 +34,7 @@ from ..scenario.model import Plan
 from .injector import Injector
 from .logbook import Logbook
 from .replay import replay_script
-from .stubs import EVAL_SYMBOL, synthesize_shim
+from .stubs import generate_c_source, synthesize_shim
 from .triggers import TriggerEngine
 
 #: Outcome statuses (§5: "whether it terminates normally or with an
@@ -131,38 +132,40 @@ class Controller:
         self.platform = platform
         self.profiles = dict(profiles)
         self.plan = plan
-        rng_seed = seed if seed is not None else plan.seed
-        self.engine = TriggerEngine(plan, random.Random(rng_seed))
+        self.engine = TriggerEngine(
+            plan, random.Random(seed) if seed is not None else None)
         self.logbook = Logbook()
         self.functions = plan.functions()
         self.telemetry = as_telemetry(telemetry)
         self.injector = Injector(self.engine, self.logbook, self.functions,
                                  telemetry=self.telemetry)
-        # unique support symbol + soname so controllers can stack in one
-        # process, each shim chaining to the next via RTLD_NEXT (§5.1)
+        # unique soname so controllers can stack in one process, each
+        # shim chaining to the next via RTLD_NEXT (§5.1)
         self._ordinal = next(Controller._instances)
-        self.eval_symbol = f"{EVAL_SYMBOL}_{self._ordinal}"
-        self.shim, self.stub_source = synthesize_shim(
-            self.functions, platform,
-            soname=f"liblfi_shim{self._ordinal}.so",
-            eval_symbol=self.eval_symbol)
+        self.shim = synthesize_shim(self.functions, platform,
+                                    soname=f"liblfi_shim{self._ordinal}.so")
         self._test_counter = 0
         #: arm per-process block-coverage accounting on attach
         self.coverage_enabled = coverage
-        #: every process this controller interposed on, for aggregate
-        #: execution statistics (campaign MIPS accounting)
-        self.processes: List[Process] = []
+
+    @property
+    def processes(self) -> List[Process]:
+        """Every process this controller interposed on, for call counts
+        and aggregate execution statistics (campaign MIPS accounting)."""
+        return self.injector.processes
+
+    @cached_property
+    def stub_source(self) -> str:
+        """The C source of this controller's stubs (§5.1 artifact)."""
+        return generate_c_source(self.functions, self.platform)
 
     # -- interposition ------------------------------------------------------
 
     def attach(self, proc: Process,
                libraries: Sequence[SharedObject]) -> None:
         """Interpose the shim and load the application's libraries."""
-        self.processes.append(proc)
         if self.coverage_enabled and proc.cpu.coverage is None:
             proc.cpu.coverage = {}
-        proc.register_host(self.eval_symbol, self.injector.eval_host,
-                           raw=True)
         if self.platform.interposition == PRELOAD:
             shim_module = proc.load(self.shim)
             for lib in libraries:
@@ -171,7 +174,7 @@ class Controller:
             for lib in libraries:
                 proc.load(lib)
             shim_module = proc.inject_library(self.shim)
-        self.injector.shim_module_index = shim_module.index
+        self.injector.attach(proc, shim_module)
 
     def make_process(self, kernel: Kernel,
                      libraries: Sequence[SharedObject]) -> Process:
@@ -211,6 +214,9 @@ class Controller:
             status, detail = STATUS_SIGSEGV, str(exc)
         except RuntimeFault as exc:
             status, detail = STATUS_HUNG, str(exc)
+        finally:
+            # dormant calls counted only in the guest stubs
+            self.injector.sync_call_counts()
         injected = self.injector.injection_count - before
         outcome = TestOutcome(
             test_id=tid, status=status, exit_code=exit_code, detail=detail,

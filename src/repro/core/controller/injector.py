@@ -1,22 +1,25 @@
-"""The ``__lfi_eval`` support routine the synthesized stubs call (§5.1).
+"""The host side of the synthesized stubs (§5.1).
 
-Stack layout when the host routine gains control (the stub pushed its
-function id and called us)::
+A stub counts its call in the guest and jumps through its target word
+(see :mod:`.stubs`).  While the plan can still fire for the function,
+the target is one of this injector's per-function *evaluation entries*,
+a raw host function entered with the application's stack untouched::
 
-    [sp]    return address into the stub (discarded)
-    [sp+4]  function id
-    [sp+8]  the application's return address (the caller of the library)
-    [sp+12] stack arguments (x86 flavour; SPARC args live in o0..o5)
+    [sp]    the application's return address (the caller of the library)
+    [sp+4]  stack arguments (x86 flavour; SPARC args live in o0..o5)
 
-On a firing trigger the routine applies argument modifications and side
+On a firing trigger the entry applies argument modifications and side
 effects, then either places the injected return value in the ABI return
-register and resumes *directly at the caller*, or restores the stack and
-tail-jumps to the original function found via RTLD_NEXT — exactly the
-semantics of the paper's generated C stubs.
+register and resumes *directly at the caller*, or continues at the
+original function found via RTLD_NEXT — exactly the semantics of the
+paper's generated C stubs.  Once the plan provably cannot fire for a
+function, the injector points that stub's target at the original in
+every attached process, and later calls never leave the guest.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...errors import ControllerError, LoaderError
@@ -26,11 +29,12 @@ from ...platform import CHANNEL_GLOBAL, CHANNEL_TLS
 from ..profiles import LibraryProfile
 from ..scenario.model import DelayFault
 from .logbook import InjectionRecord, Logbook
+from .stubs import stub_slots
 from .triggers import Decision, ScopeResolver, TriggerEngine
 
 
 class Injector:
-    """Binds a TriggerEngine to a process as the __lfi_eval host."""
+    """Binds a TriggerEngine to the shims of the attached processes."""
 
     def __init__(self, engine: TriggerEngine, logbook: Logbook,
                  functions: Sequence[str],
@@ -39,13 +43,14 @@ class Injector:
         self.logbook = logbook
         self.functions = list(functions)
         self.shim_module_index: Optional[int] = None
+        #: every process whose shim this injector armed (see attach)
+        self.processes: List = []
         self.test_id = "t0"
         self.injection_count = 0
         self.passthrough_count = 0
         self._original_cache: Dict[int, Dict[str, int]] = {}
         self.telemetry = as_telemetry(telemetry)
         self._bind_instruments()
-        self._recompute_dormancy()
 
     def _bind_instruments(self) -> None:
         # instruments are created once here so the per-call hot path is
@@ -77,81 +82,140 @@ class Injector:
         per-case trigger state into a reused controller; the function
         list must keep the stub ids of the shim the guest already has
         loaded, which the caller guarantees by grouping cases per
-        trigger function.
+        trigger function.  Every attached process's stub targets are
+        rewritten for the new engine.
         """
         self.engine = engine
         self.functions = list(functions)
         self.telemetry = as_telemetry(telemetry)
         self._bind_instruments()
-        self._recompute_dormancy()
+        for proc in self.processes:
+            self._retarget(proc, range(len(self.functions)))
 
-    def _recompute_dormancy(self) -> None:
-        """Re-derive the zero-overhead set from the bound engine.
+    # -- guest-side stub state ------------------------------------------
 
-        A function id is *dormant* when the plan provably cannot fire
-        for it anymore — no triggers at all, unreachable sentinel
-        ordinals, or an exhausted nth/ordinal horizon.  Dormancy is
-        monotone for one engine (call counts only grow), so ids are
-        added as calls prove out and the set resets only here, when a
-        new engine is bound.
+    def attach(self, proc, module) -> None:
+        """Arm the shim loaded into ``proc`` as ``module``: point every
+        stub at the original or at its evaluation entry."""
+        self.shim_module_index = module.index
+        self.processes.append(proc)
+        self._retarget(proc, range(len(self.functions)))
+
+    def _retarget(self, proc, fn_ids) -> None:
+        """Write the jump target of each stub in ``fn_ids``.
+
+        A function is *dormant* when the plan provably cannot fire for
+        it anymore (no triggers, unreachable sentinel ordinals, or an
+        exhausted nth/ordinal horizon); its stub then jumps to the
+        RTLD_NEXT original and the call never leaves the guest (or,
+        while no original is loaded yet, to a one-shot binding entry,
+        see :meth:`_bind_original`).  Any other function traps to its
+        evaluation entry, a raw host function bound on first need and
+        remembered in the stub's entry slot.
         """
-        engine = self.engine
-        self._dormant_ids = {
-            fn_id for fn_id, function in enumerate(self.functions)
-            if not engine.can_still_fire(function)}
+        tls = proc.modules[self.shim_module_index].tls_base
+        memory = proc.memory
+        for fn_id in fn_ids:
+            _count, target, entry = stub_slots(fn_id)
+            function = self.functions[fn_id]
+            if not self.engine.can_still_fire(function):
+                try:
+                    address = self._resolve_original(proc, function)
+                except ControllerError:
+                    address = proc.host_entry(
+                        f"{function}@lfi-bind",
+                        partial(self._bind_original, fn_id), raw=True)
+            else:
+                address = memory.read_u32(tls + entry)
+                if not address:
+                    address = proc.host_entry(
+                        f"{function}@lfi", partial(self.eval_host, fn_id),
+                        raw=True)
+                    memory.write_u32(tls + entry, address)
+            memory.write_u32(tls + target, address)
+
+    def _bind_original(self, fn_id: int, proc, cpu) -> None:
+        """A dormant stub armed before its original was loaded (e.g. an
+        outer shim of stacked controllers): resolve the original now,
+        or raise the missing-original error, like a lazily bound PLT
+        slot, and point the stub straight at it from here on."""
+        original = self._resolve_original(proc, self.functions[fn_id])
+        self._retarget(proc, (fn_id,))
+        cpu.force_transfer(original, cpu.regs[cpu.abi.stack_pointer])
+
+    def _retire(self, fn_id: int) -> None:
+        """The plan can no longer fire for the function: every attached
+        process's stub now jumps to the original."""
+        for proc in self.processes:
+            self._retarget(proc, (fn_id,))
+
+    def _call_total(self, fn_id: int) -> int:
+        """Calls of one function so far: the stub counters of every
+        attached process (a controller shared with a forked child
+        counts the child's calls too)."""
+        offset = stub_slots(fn_id)[0]
+        index = self.shim_module_index
+        total = 0
+        for proc in self.processes:
+            total += proc.memory.read_u32(proc.modules[index].tls_base
+                                          + offset)
+        return total
+
+    def sync_call_counts(self) -> None:
+        """Fold the guest stub counters into ``engine.call_counts``.
+
+        Dormant calls only bump their guest counter; the host reads the
+        totals back whenever it needs them (after a monitored test and
+        at a snapshot point).
+        """
+        counts = self.engine.call_counts
+        for fn_id, function in enumerate(self.functions):
+            total = self._call_total(fn_id)
+            if total:
+                counts[function] = total
 
     # -- host entry point ---------------------------------------------------
 
-    def eval_host(self, proc, cpu) -> None:
+    def eval_host(self, fn_id: int, proc, cpu) -> None:
+        """A live stub's trap: evaluate the triggers for one call.
+
+        The stub jumped here with the application's stack untouched:
+        ``[sp]`` holds the caller's return address and stack arguments
+        follow it (SPARC arguments live in o0..o5).
+        """
         abi = cpu.abi
         sp = cpu.regs[abi.stack_pointer]
-        fn_id = proc.memory.read_u32(sp + 4)
-        if fn_id in self._dormant_ids:
-            # zero-overhead fast path: the plan provably cannot fire for
-            # this function anymore, so the call collapses to counting +
-            # direct dispatch — no frames, no evaluation, no telemetry
-            function = self.functions[fn_id]
-            self.engine.record_dormant_call(function)
-            original = self._resolve_original(proc, function)
-            self._pop_shadow(cpu, 1)
-            if cpu.shadow:
-                cpu.shadow[-1].callee_addr = original
-            cpu.force_transfer(original, sp + 8)
-            return
-        caller_ret = proc.memory.read_u32(sp + 8)
-        try:
-            function = self.functions[fn_id]
-        except IndexError:
-            raise ControllerError(f"stub passed bad function id {fn_id}")
+        function = self.functions[fn_id]
 
-        frames = (self._caller_frames(proc, caller_ret)
+        frames = (self._caller_frames(proc, sp)
                   if self.engine.needs_frames else ())
         args = (self._read_args(proc, cpu, sp)
                 if self.engine.needs_args else ())
         resolver = (self._scope_resolver(proc)
                     if self.engine.needs_scope else None)
         evals_before = self.engine.evaluations
-        call_number, decision = self.engine.on_call(function, frames, args,
-                                                    resolver)
+        call_number, decision = self.engine.on_call(
+            function, frames, args, resolver, count=self._call_total(fn_id))
         evaluated = self.engine.evaluations - evals_before
         if evaluated:
             self._evaluations_metric.inc(evaluated, function=function)
         if decision is not None and not frames:
-            frames = self._caller_frames(proc, caller_ret)   # for the log
+            frames = self._caller_frames(proc, sp)           # for the log
 
         if decision is not None:
             self._apply_modifications(proc, cpu, sp, decision)
 
         if decision is not None and decision.injects_return:
             if not self.engine.can_still_fire(function):
-                self._dormant_ids.add(fn_id)
+                self._retire(fn_id)
             self._log(decision, function, call_number, frames)
             self.injection_count += 1
             self._record_injection(decision, function, call_number)
             self._apply_side_effects(proc, function, decision)
             cpu.regs[abi.return_register] = decision.code.retval & 0xFFFFFFFF
-            self._pop_shadow(cpu, 2)
-            cpu.force_transfer(caller_ret, sp + 12)
+            if cpu.shadow:
+                cpu.shadow.pop()
+            cpu.force_transfer(proc.memory.read_u32(sp), sp + 4)
             return
 
         if decision is not None and decision.action is not None \
@@ -170,16 +234,11 @@ class Injector:
             self.telemetry.events.emit(
                 "passthrough", severity="debug", function=function,
                 call=call_number, test=self.test_id)
-        # pass through: restore the stack and jmp to the original
         if not self.engine.can_still_fire(function):
-            # the call just counted pushed every trigger past its
-            # horizon; future calls take the fast path above
-            self._dormant_ids.add(fn_id)
-        original = self._resolve_original(proc, function)
-        self._pop_shadow(cpu, 1)
-        if cpu.shadow:
-            cpu.shadow[-1].callee_addr = original
-        cpu.force_transfer(original, sp + 8)
+            self._retire(fn_id)
+        # pass through: the stack is still the caller's, so continue at
+        # the original exactly as the stub's jump would have
+        cpu.force_transfer(self._resolve_original(proc, function), sp)
 
     # -- helpers ------------------------------------------------------------
 
@@ -260,19 +319,13 @@ class Injector:
         cache[function] = addr            # the stub's static original_fn_ptr
         return addr
 
-    @staticmethod
-    def _pop_shadow(cpu, count: int) -> None:
-        for _ in range(count):
-            if cpu.shadow:
-                cpu.shadow.pop()
-
     def _caller_frames(self, proc,
-                       caller_ret: int) -> List[Tuple[int, Optional[str]]]:
+                       sp: int) -> List[Tuple[int, Optional[str]]]:
+        caller_ret = proc.memory.read_u32(sp)
         frames = proc.backtrace_frames()
-        # frames[0] is the __lfi_eval call, frames[1] the stub call whose
-        # return address is the application call site; rebuild from there.
-        trimmed = frames[2:] if len(frames) >= 2 else []
-        return [(caller_ret, proc.symbol_for_addr(caller_ret))] + trimmed
+        # frames[0] is the stub call, whose return address is the
+        # application call site; rebuild from there.
+        return [(caller_ret, proc.symbol_for_addr(caller_ret))] + frames[1:]
 
     @staticmethod
     def _read_args(proc, cpu, sp: int, count: int = 6):
@@ -280,7 +333,7 @@ class Injector:
         if cpu.abi.arg_registers:
             return [_signed(cpu.regs[r])
                     for r in cpu.abi.arg_registers[:count]]
-        return [proc.memory.read_i32(sp + 12 + 4 * i)
+        return [proc.memory.read_i32(sp + 4 + 4 * i)
                 for i in range(count)]
 
     @staticmethod
@@ -288,7 +341,7 @@ class Injector:
         """One live argument by 1-based position (signed 32-bit)."""
         if cpu.abi.arg_registers:
             return _signed(cpu.regs[cpu.abi.arg_registers[argument - 1]])
-        return proc.memory.read_i32(sp + 12 + 4 * (argument - 1))
+        return proc.memory.read_i32(sp + 4 * argument)
 
     @staticmethod
     def _write_one_arg(proc, cpu, sp: int, argument: int,
@@ -297,7 +350,7 @@ class Injector:
             reg = cpu.abi.arg_registers[argument - 1]
             cpu.regs[reg] = value & 0xFFFFFFFF
         else:
-            proc.memory.write_i32(sp + 12 + 4 * (argument - 1), value)
+            proc.memory.write_i32(sp + 4 * argument, value)
 
     def _apply_modifications(self, proc, cpu, sp: int,
                              decision: Decision) -> None:
@@ -307,7 +360,7 @@ class Injector:
                 cpu.regs[reg] = mod.apply(
                     _signed(cpu.regs[reg])) & 0xFFFFFFFF
             else:
-                addr = sp + 12 + 4 * (mod.argument - 1)
+                addr = sp + 4 * mod.argument
                 old = proc.memory.read_i32(addr)
                 proc.memory.write_i32(addr, mod.apply(old))
 

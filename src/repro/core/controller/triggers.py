@@ -28,9 +28,10 @@ from ..scenario.model import (INJECT_EXHAUSTIVE, INJECT_NTH,
 Frame = Tuple[int, Optional[str]]   # (return address, enclosing function)
 
 #: Call ordinals at or above this value are treated as unreachable: a
-#: trigger aimed there provably never fires, so the injector's dormant
-#: fast path engages from the first call.  The snapshot prefix sentinel
-#: (``core.exec.snapshot.PREFIX_SENTINEL``) is defined as this value.
+#: trigger aimed there provably never fires, so the function's stub
+#: jumps straight to the original from attach on.  The snapshot prefix
+#: sentinel (``core.exec.snapshot.PREFIX_SENTINEL``) is defined as this
+#: value.
 NEVER_ORDINAL = 1 << 30
 
 #: Resolves a call's first argument to (path, peer port) for scope
@@ -74,7 +75,12 @@ class TriggerEngine:
 
     def __init__(self, plan: Plan, rng: Optional[random.Random] = None) -> None:
         self.plan = plan
-        self.rng = rng or random.Random(plan.seed)
+        #: the stream random triggers roll (by default seeded from the
+        #: plan); None for plans without one, since seeding costs 10-20 µs
+        self.rng = rng
+        if rng is None and any(t.mode == INJECT_RANDOM
+                               for t in plan.triggers):
+            self.rng = random.Random(plan.seed)
         self.call_counts: Dict[str, int] = {}
         self._rotation: Dict[int, int] = {}
         self._by_function: Dict[str, List[Tuple[int, FunctionTrigger]]] = {}
@@ -92,19 +98,6 @@ class TriggerEngine:
         #: whether any trigger carries a target scope (callers then
         #: supply a descriptor resolver to :meth:`on_call`)
         self.needs_scope = any(t.scope is not None for t in plan.triggers)
-
-    def record_dormant_call(self, function: str) -> int:
-        """Count one call on the dormant fast path.
-
-        Call counting is the only observable bookkeeping a dormant
-        function still owes (ordinal semantics, snapshot prefix_calls);
-        everything else — evaluation counters, decisions, logbook and
-        telemetry — is provably dead while :meth:`can_still_fire` is
-        False.
-        """
-        count = self.call_counts.get(function, 0) + 1
-        self.call_counts[function] = count
-        return count
 
     def can_still_fire(self, function: str) -> bool:
         """Whether any trigger on ``function`` could fire on a future
@@ -128,9 +121,15 @@ class TriggerEngine:
     def on_call(self, function: str, frames: Sequence[Frame],
                 args: Sequence[int] = (),
                 scope_resolver: Optional[ScopeResolver] = None,
+                *, count: Optional[int] = None,
                 ) -> Tuple[int, Optional[Decision]]:
-        """Record one call; return (call ordinal, decision or None)."""
-        count = self.call_counts.get(function, 0) + 1
+        """Record one call; return (call ordinal, decision or None).
+
+        ``count`` is the call's ordinal when the caller counted it (the
+        guest stubs do); by default it is one past the recorded count.
+        """
+        if count is None:
+            count = self.call_counts.get(function, 0) + 1
         self.call_counts[function] = count
         for index, trigger in self._by_function.get(function, ()):
             self.evaluations += 1

@@ -264,9 +264,9 @@ def _golden_run(factory, platform: Platform,
 
     Same no-fault anchor as :func:`_golden_digest`, but the plan carries
     one sentinel trigger per campaign function at the unreachable
-    ordinal: the dormant fast path proves each trigger dead on its first
-    call, so the only bookkeeping the run pays for is call counting —
-    and the output digest is identical to a plain golden run's.  The
+    ordinal: each trigger is dormant from attach on, so the stubs only
+    count calls in the guest and jump to the originals — and the output
+    digest is identical to a plain golden run's.  The
     controller also arms block coverage: the golden blocks seed the
     guided frontier's seen-set, so its novelty accounting starts from
     the fault-free path instead of rediscovering it case by case.

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
-import random
 import time
 from typing import Any, Dict, Iterable, List, Mapping
 
@@ -52,9 +51,9 @@ from ..scenario.model import INJECT_NTH, FunctionTrigger, Plan
 
 #: A call ordinal no workload reaches: the prefix runs under a real plan
 #: for the trigger function without the trigger ever firing.  Defined as
-#: the engine's unreachable-ordinal bound, so the injector's dormant
-#: fast path proves the sentinel dead on the first call and the whole
-#: prefix executes with zero interception overhead.
+#: the engine's unreachable-ordinal bound, so the sentinel is dormant
+#: from attach on: the stubs jump straight to the originals and the
+#: whole prefix runs without leaving the guest.
 PREFIX_SENTINEL = NEVER_ORDINAL
 
 
@@ -179,6 +178,7 @@ class SnapshotRunner:
                          self._prefix_plan(function, code),
                          coverage=self.observe)
         ctx = self.factory.setup(lfi)
+        lfi.injector.sync_call_counts()
         processes = self._discover_processes(lfi)
         machine = MachineSnapshot.capture(processes)
 
@@ -275,11 +275,11 @@ class SnapshotRunner:
         lfi.telemetry = as_telemetry(case_telemetry)
         lfi.plan = plan
         lfi.functions = plan.functions()
-        engine = TriggerEngine(plan, random.Random(plan.seed))
+        engine = TriggerEngine(plan)
         engine.call_counts = dict(instance.prefix_calls)
         # A fresh run evaluates the case's triggers on every prefix call
-        # until their horizons pass (the injector's dormant fast path
-        # then skips evaluation); the sentinel prefix run itself
+        # until their horizons pass (the stub then jumps straight to the
+        # original); the sentinel prefix run itself
         # evaluated nothing, so reproduce the fresh run's bookkeeping
         # from the checkpointed call counts.
         prefix_evals: Dict[str, int] = {}
@@ -298,7 +298,6 @@ class SnapshotRunner:
         engine.evaluations = sum(prefix_evals.values())
         lfi.engine = engine
         injector = lfi.injector
-        injector.rebind(engine, lfi.functions, case_telemetry)
         injector.injection_count = instance.injection_count
         injector.passthrough_count = instance.passthrough_count
         injector._original_cache = {
@@ -307,6 +306,9 @@ class SnapshotRunner:
         del lfi.logbook.records[instance.logbook_len:]
         del lfi.processes[instance.processes_len:]
         lfi._test_counter = instance.test_counter
+        # the restored guests' stubs still target the prefix plan's
+        # dormant originals; rebind points them at the case's triggers
+        injector.rebind(engine, lfi.functions, case_telemetry)
         if prefix_evals and lfi.telemetry.enabled:
             # a fresh run records the prefix's trigger evaluations under
             # the case telemetry; pre-seed them so metric snapshots match

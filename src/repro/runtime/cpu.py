@@ -4,11 +4,12 @@ Executes predecoded SELF machine code against a :class:`Memory`, with:
 
 * exact signed comparisons for conditional branches,
 * a shadow call stack for backtrace triggers (§4's ``<stacktrace>``),
-* host functions — symbols the dynamic linker binds to Python callables;
-  *raw* host functions may rewrite CPU state directly, which is how the
-  synthesized interception stubs hand control to the LFI controller and
-  then either return an injected value or tail-jump to the original
-  (§5.1's ``jmp [original_fn_ptr]``).
+* host functions — Python callables bound at host addresses, as
+  symbols or as bare code pointers; *raw* host functions may rewrite
+  CPU state directly, which is how a live interception stub's jump
+  hands control to the LFI controller, which then either returns an
+  injected value or continues at the original (§5.1's
+  ``jmp [original_fn_ptr]``).
 
 Two execution paths share one semantics:
 
@@ -281,7 +282,7 @@ class Cpu:
     # -- the step path ------------------------------------------------------
 
     def step(self) -> None:
-        entry = self.proc.code_cache.get(self.eip)
+        entry = self.proc.decoded(self.eip)
         if entry is None:
             raise MemoryFault(
                 f"execution reached unmapped code at {self.eip:#010x}",

@@ -265,14 +265,34 @@ class Memory:
         self.write_u32(addr, value & MASK32)
 
     def read_cstr(self, addr: int, limit: int = 4096) -> str:
+        """The NUL-terminated string at ``addr`` (at most ``limit``
+        bytes), scanned a page chunk at a time.  A string running into
+        unmapped memory faults on its first unmapped byte."""
         out = bytearray()
         while len(out) < limit:
-            byte = self.read(addr, 1)
-            if byte == b"\x00":
+            chunk = min(limit - len(out), PAGE_SIZE - (addr & (PAGE_SIZE - 1)))
+            if not self.is_mapped(addr, chunk):
+                # stop at the mapped prefix; the byte after it faults
+                chunk = self._mapped_run(addr, chunk)
+                if not chunk:
+                    self._check(addr, 1)
+            data = self.read(addr, chunk)
+            end = data.find(b"\x00")
+            if end >= 0:
+                out += data[:end]
                 break
-            out += byte
-            addr += 1
+            out += data
+            addr += chunk
         return out.decode("utf-8", errors="replace")
+
+    def _mapped_run(self, addr: int, size: int) -> int:
+        """How many bytes from ``addr`` (at most ``size``) are mapped."""
+        for start, end in self._regions:
+            if start <= addr < end:
+                return min(size, end - addr)
+            if start > addr:
+                break
+        return 0
 
     def write_cstr(self, addr: int, text: str) -> int:
         data = text.encode("utf-8") + b"\x00"

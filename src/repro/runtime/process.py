@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..binfmt import SharedObject
@@ -40,6 +41,9 @@ from .memory import Memory
 _HOST_REGION = HOST_REGION_BASE
 _SCRATCH_BASE = 0xA0000000
 _SCRATCH_SIZE = 0x400000
+#: provider entries are (priority, module index, address); resolution
+#: order is priority, then module index
+_RESOLUTION_ORDER = itemgetter(0, 1)
 
 
 @dataclass
@@ -74,7 +78,6 @@ class Process:
         self.kstate = KProcState(pid=kernel.new_pid())
         kernel.processes.append(self)
         self.modules: List[LoadedModule] = []
-        self.code_cache: Dict[int, Tuple] = {}
         self._module_code: Dict[int, ModuleCode] = {}
         self.host_functions: Dict[int, HostFunction] = {}
         self._next_host_addr = _HOST_REGION
@@ -123,10 +126,16 @@ class Process:
         priority = 0 if front else self._next_priority
         if not front:
             self._next_priority += 10
+        # export names are unique per image: each provider list gains
+        # one entry, and only lists with rivals need re-sorting
+        contested = []
         for sym in image.exports:
-            self._providers.setdefault(sym.name, []).append(
-                (priority, index, base + sym.offset))
-            self._providers[sym.name].sort(key=lambda t: (t[0], t[1]))
+            providers = self._providers.setdefault(sym.name, [])
+            providers.append((priority, index, base + sym.offset))
+            if len(providers) > 1:
+                contested.append(providers)
+        for providers in contested:
+            providers.sort(key=_RESOLUTION_ORDER)
         if front:
             self._plt_cache.clear()
         return module
@@ -148,34 +157,55 @@ class Process:
         # identical code at the same base reuses one ModuleCode
         mc = CODE_CACHE.module_code(module.image, module.base,
                                     module.tls_base)
-        self.code_cache.update(mc.entries)
         self._module_code[module.base] = mc
+
+    def _code_at(self, addr: int) -> Optional[ModuleCode]:
+        if addr < FIRST_MODULE_BASE:
+            return None
+        return self._module_code.get(FIRST_MODULE_BASE + (
+            (addr - FIRST_MODULE_BASE) // MODULE_SPACING) * MODULE_SPACING)
+
+    def decoded(self, addr: int) -> Optional[Tuple]:
+        """The predecoded ``(instruction, size, branch target)`` at
+        ``addr`` (None when no instruction starts there)."""
+        mc = self._code_at(addr)
+        return None if mc is None else mc.entries.get(addr)
+
+    @property
+    def code_cache(self) -> Dict[int, Tuple]:
+        """Every loaded module's predecoded entries, merged (a copy)."""
+        merged: Dict[int, Tuple] = {}
+        for mc in self._module_code.values():
+            merged.update(mc.entries)
+        return merged
 
     def block_template(self, addr: int):
         """The shared translation entered at ``addr`` (None when the
         address has no module or no block)."""
-        if addr < FIRST_MODULE_BASE:
-            return None
-        base = FIRST_MODULE_BASE + (
-            (addr - FIRST_MODULE_BASE) // MODULE_SPACING) * MODULE_SPACING
-        mc = self._module_code.get(base)
-        if mc is None:
-            return None
-        return mc.block(addr)
+        mc = self._code_at(addr)
+        return None if mc is None else mc.block(addr)
 
     # -- symbols ----------------------------------------------------------
+
+    def host_entry(self, name: str, fn: Callable, *,
+                   raw: bool = False) -> int:
+        """Bind a Python callable at a fresh host address without a
+        symbol: guest code reaches it only through a code pointer."""
+        addr = self._next_host_addr
+        self._next_host_addr += 4
+        self.host_functions[addr] = HostFunction(name, fn, raw)
+        return addr
 
     def register_host(self, name: str, fn: Callable, *,
                       raw: bool = False, front: bool = False) -> int:
         """Bind a Python callable as a guest-visible symbol."""
-        addr = self._next_host_addr
-        self._next_host_addr += 4
-        self.host_functions[addr] = HostFunction(name, fn, raw)
+        addr = self.host_entry(name, fn, raw=raw)
         priority = 0 if front else self._next_priority
         if not front:
             self._next_priority += 10
-        self._providers.setdefault(name, []).append((priority, -1, addr))
-        self._providers[name].sort(key=lambda t: (t[0], t[1]))
+        providers = self._providers.setdefault(name, [])
+        providers.append((priority, -1, addr))
+        providers.sort(key=_RESOLUTION_ORDER)
         if front:
             self._plt_cache.clear()
         return addr

@@ -165,9 +165,6 @@ class MachineSnapshot:
             proc._module_code = {base: mc for base, mc
                                  in proc._module_code.items()
                                  if base in keep}
-            proc.code_cache = {}
-            for mc in proc._module_code.values():
-                proc.code_cache.update(mc.entries)
             cpu._blocks.clear()
         # host bindings — the CPU hands the dict object to generated code
         proc.host_functions.clear()

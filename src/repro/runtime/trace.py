@@ -4,7 +4,8 @@ A debugging aid for guest code (and for demonstrating what the VM
 actually executes): attach a :class:`Tracer` to a process, run, and get
 an annotated instruction trace with module/symbol attribution —
 including the exact moment control passes through an interception stub
-into ``__lfi_eval`` and back out to the original function or the caller.
+to the original function or, for a live trigger, into the controller
+and back out to the original or the caller.
 """
 
 from __future__ import annotations

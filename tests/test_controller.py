@@ -99,9 +99,13 @@ class TestTriggerEngine:
 
 class TestShimSynthesis:
     def test_exports_match_functions(self):
-        shim, source = synthesize_shim(["read", "close"], LINUX_X86)
-        assert {s.name for s in shim.exports} == {"read", "close"}
-        assert shim.imports == ("__lfi_eval",)
+        shim = synthesize_shim(["read", "close"], LINUX_X86)
+        assert [(s.name, s.offset, s.size) for s in shim.exports] == [
+            ("read", 0, 24), ("close", 24, 24)]
+        # self-contained guest code: no support routine to import, and
+        # the counters and targets fill exactly one TLS page
+        assert shim.imports == ()
+        assert shim.tls_size == 4096
 
     def test_c_source_mirrors_paper_stub(self):
         source = generate_c_source(["close"], LINUX_X86)
@@ -112,9 +116,31 @@ class TestShimSynthesis:
 
     def test_shim_is_disassemblable(self):
         from repro.binfmt import objdump
-        shim, _ = synthesize_shim(["read"], LINUX_X86)
-        listing = objdump(shim)
-        assert "push" in listing and "call" in listing
+        shim = synthesize_shim(["read", "close"], LINUX_X86)
+        body = [line.split("\t", 1)[1] for line in
+                objdump(shim).splitlines() if "\t" in line]
+        # one straight-line block per stub: count, load target, jump
+        assert body == ["add gs:[0x4], 0x1", "mov eax, gs:[0x8]",
+                        "jmp eax",
+                        "add gs:[0x10], 0x1", "mov eax, gs:[0x14]",
+                        "jmp eax"]
+
+    def test_stub_scratch_is_never_an_argument_register(self):
+        from repro.binfmt import objdump
+        from repro.platform import SOLARIS_SPARC
+        listing = objdump(synthesize_shim(["read"], SOLARIS_SPARC))
+        assert "mov l0, gs:[0x8]" in listing and "jmp l0" in listing
+
+    def test_stub_code_assembled_once_per_function_list(self):
+        a = synthesize_shim(["read", "close"], LINUX_X86, soname="a.so")
+        b = synthesize_shim(["read", "close"], LINUX_X86, soname="b.so")
+        assert a.text is b.text and a.exports is b.exports
+        assert (a.soname, b.soname) == ("a.so", "b.so")
+        # stub i's code names only its slots, so equally long function
+        # lists share their bytes (and translations); exports differ
+        swapped = synthesize_shim(["close", "read"], LINUX_X86)
+        assert swapped.text == a.text
+        assert [s.name for s in swapped.exports] == ["close", "read"]
 
 
 class TestInjection:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.controller import (Controller, EVAL_SYMBOL, Injector,
-                                   Logbook, TriggerEngine)
+from repro.core.controller import (Controller, Injector, Logbook,
+                                   TriggerEngine)
 from repro.core.controller.logbook import InjectionRecord
 from repro.core.scenario import (ErrorCode, FrameSpec, FunctionTrigger,
                                  Plan)
@@ -72,8 +72,9 @@ class TestAttachment:
                             actions=(ErrorCode(-1, "EIO"),)))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         assert {s.name for s in lfi.shim.exports} == {"read", "write"}
-        assert lfi.shim.imports == (lfi.eval_symbol,)
-        assert lfi.eval_symbol.startswith(EVAL_SYMBOL)
+        # the stubs are self-contained guest code: nothing to import
+        assert lfi.shim.imports == ()
+        assert lfi.shim.soname == f"liblfi_shim{lfi._ordinal}.so"
 
 
 class TestSideEffectApplication:
@@ -169,15 +170,10 @@ class TestStackedControllers:
         outer = Controller(LINUX_X86, profiles, plan_a)
         inner = Controller(LINUX_X86, profiles, plan_b)
         proc = Process(Kernel(), LINUX_X86)
-        proc.register_host(outer.eval_symbol, outer.injector.eval_host,
-                           raw=True)
-        proc.register_host(inner.eval_symbol, inner.injector.eval_host,
-                           raw=True)
-        outer_mod = proc.load(outer.shim)      # resolves first
-        inner_mod = proc.load(inner.shim)      # RTLD_NEXT target of outer
-        proc.load(libc_linux.image)
-        outer.injector.shim_module_index = outer_mod.index
-        inner.injector.shim_module_index = inner_mod.index
+        outer.attach(proc, [])                  # resolves first
+        inner.attach(proc, [libc_linux.image])  # RTLD_NEXT target of outer
+        assert [m.image for m in proc.modules] == [
+            outer.shim, inner.shim, libc_linux.image]
         return outer, inner, proc
 
     def test_two_shims_chain(self, libc_linux, libc_profiles_linux):

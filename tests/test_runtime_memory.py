@@ -79,6 +79,40 @@ class TestStrings:
         mem.write(0x1000, b"ab\x00cd")
         assert mem.read_cstr(0x1000) == "ab"
 
+    def test_cstr_across_a_page_boundary(self, mem):
+        # starts 3 bytes before the 0x2000 page edge, ends past it
+        mem.write_cstr(0x1FFD, "crosses/the/edge")
+        assert mem.read_cstr(0x1FFD) == "crosses/the/edge"
+
+    def test_cstr_into_unmapped_memory_faults_at_first_unmapped_byte(self):
+        m = Memory()
+        m.map_region(0x1000, 0x10)
+        m.write(0x1000, b"abcdefghijklmnop")     # no terminator
+        with pytest.raises(MemoryFault) as err:
+            m.read_cstr(0x1000)
+        assert str(err.value) == \
+            "access to unmapped address 0x00001010 (size 1)"
+        with pytest.raises(MemoryFault) as err:
+            m.read_cstr(0x3000)
+        assert str(err.value) == \
+            "access to unmapped address 0x00003000 (size 1)"
+
+    def test_cstr_terminated_before_the_region_end_never_faults(self):
+        m = Memory()
+        m.map_region(0x1000, 0x10)
+        m.write(0x1000, b"abcdefghijklmno\x00")
+        assert m.read_cstr(0x1000) == "abcdefghijklmno"
+
+    def test_cstr_truncates_at_the_limit(self, mem):
+        mem.write(0x1000, b"x" * 0x2000)          # the whole region
+        assert mem.read_cstr(0x1000) == "x" * 4096
+        assert mem.read_cstr(0x1FF0, limit=40) == "x" * 40
+        # the limit stops the scan right before unmapped memory ...
+        assert mem.read_cstr(0x2FF8, limit=8) == "x" * 8
+        # ... and one byte more reaches it
+        with pytest.raises(MemoryFault, match="0x00003000"):
+            mem.read_cstr(0x2FF8, limit=9)
+
     @given(text=st.text(alphabet=st.characters(min_codepoint=1,
                                                max_codepoint=0x7F),
                         max_size=64))

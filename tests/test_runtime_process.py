@@ -84,6 +84,31 @@ class TestResolution:
         addr = proc.resolve_next("f", shim.index)
         assert proc.module_for_addr(addr).image.soname == "orig.so"
 
+    def test_provider_order_preload_injection_duplicates(self, kernel):
+        """Every provider list stays in resolution order: a preloaded
+        shim first, a front-injected shim ahead of everything, and
+        duplicate exports behind them in load order."""
+        proc = Process(kernel, LINUX_X86)
+        proc.load_program([_const_lib("one.so", 1), _const_lib("two.so", 2),
+                           _const_lib("g.so", 7, fn="g")],
+                          preload=[_const_lib("pre.so", 3)])
+        injected = proc.inject_library(_const_lib("win.so", 4))
+        proc.load(_const_lib("late.so", 5))
+
+        def sonames(symbol):
+            return [proc.module_for_addr(addr).image.soname
+                    for _prio, _index, addr in proc._providers[symbol]]
+
+        assert sonames("f") == ["win.so", "pre.so", "one.so", "two.so",
+                                "late.so"]
+        assert sonames("g") == ["g.so"]
+        assert proc.libcall("f") == 4
+        assert proc.module_for_addr(proc.resolve_next(
+            "f", injected.index)).image.soname == "pre.so"
+        assert proc.module_for_addr(proc.resolve_next(
+            "f", proc.module_by_soname("one.so").index)).image.soname \
+            == "two.so"
+
     def test_rtld_next_exhausted(self, kernel):
         proc = Process(kernel, LINUX_X86)
         only = proc.load(_const_lib("only.so", 1))

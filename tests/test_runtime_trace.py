@@ -54,7 +54,9 @@ class TestTracer:
         assert shim_names
         shim_entries = [e for e in trace.entries
                         if e.module and e.module.startswith("liblfi_shim")]
-        assert any("push" in e.text for e in shim_entries)
+        # the whole stub, once: count, load the target, jump
+        assert [e.text for e in shim_entries] == [
+            "add gs:[0x4], 0x1", "mov eax, gs:[0x8]", "jmp eax"]
         assert not any(e.module == "libc.so.6" and e.symbol == "close"
                        for e in trace.entries)
 
